@@ -1,11 +1,11 @@
 """Batched Fmmp crossover bench → ``BENCH_fmmp.json``.
 
-Measures the scalar 7-pass ``Fmmp.matvec`` against the stage-fused
-multi-vector ``BatchedFmmp.matmat`` at ν = 18 for block widths
-B ∈ {4, 16, 64}, records effective bandwidths and per-vector speedups
-(next to the roofline model's predictions) into ``BENCH_fmmp.json`` at
-the repository root, and **fails** if the B = 16 per-vector throughput
-does not clear the 1.5× acceptance bar.
+Measures the default ``Fmmp.matvec`` (the fused kernel at B = 1)
+against the multi-vector ``BatchedFmmp.matmat`` at ν = 18 for block
+widths B ∈ {4, 16, 64}, records effective bandwidths and per-vector
+speedups (next to the bytes model's predictions) into
+``BENCH_fmmp.json`` at the repository root, and **fails** if the
+B = 16 per-vector throughput does not clear the 1.5× acceptance bar.
 
 Run it as part of the perf gate tier::
 
@@ -62,11 +62,11 @@ def test_batched_crossover_and_record(measurements):
         )
     crossover = modeled_crossover_batch(NU, target_speedup=ACCEPT_SPEEDUP)
     payload = {
-        "kind": "repro.BENCH_fmmp.v1",
+        "kind": "repro.BENCH_fmmp.v2",
         "nu": NU,
         "n": 1 << NU,
         "accept": {"batch": ACCEPT_BATCH, "per_vector_speedup": ACCEPT_SPEEDUP},
-        "scalar_model_bytes": fmmp_costs(NU).bytes_moved,
+        "single_model_bytes": fmmp_costs(NU).bytes_moved,
         "fused_model_bytes_b16": batched_fmmp_costs(NU, 16).bytes_moved,
         "modeled_crossover_batch": crossover,
         "points": points,
@@ -81,7 +81,7 @@ def test_batched_crossover_and_record(measurements):
     accept = measurements[ACCEPT_BATCH]
     assert accept.per_vector_speedup >= ACCEPT_SPEEDUP, (
         f"batched B={ACCEPT_BATCH} per-vector throughput is only "
-        f"{accept.per_vector_speedup:.2f}x the scalar path at nu={NU} "
+        f"{accept.per_vector_speedup:.2f}x Fmmp.matvec at nu={NU} "
         f"(acceptance bar: {ACCEPT_SPEEDUP}x)"
     )
 
@@ -91,4 +91,4 @@ def test_speedup_grows_with_batch(measurements):
     """Wider blocks amortize the scale passes better — the measured
     series should not collapse as B grows."""
     s = [measurements[b].per_vector_speedup for b in BATCHES]
-    assert s[-1] >= 1.0  # B=64 must beat scalar outright
+    assert s[-1] >= 1.0  # B=64 must beat single-vector products outright

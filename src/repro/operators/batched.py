@@ -40,7 +40,7 @@ from repro.mutation.grouped import GroupedMutation
 from repro.mutation.persite import PerSiteMutation
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FORMS, ImplicitOperator, OperatorCosts
-from repro.transforms.batched import batched_butterfly_transform
+from repro.transforms.batched import batched_butterfly_transform, fused_stage_plan
 from repro.transforms.kronecker import kron_matvec
 
 __all__ = ["BatchedFmmp"]
@@ -128,9 +128,11 @@ class BatchedFmmp(ImplicitOperator):
             )
         self._sqrt_f = np.sqrt(self._f) if form == "symmetric" else None
 
+        self._plan = None
         if isinstance(mutation, (UniformMutation, PerSiteMutation)):
             self._bit_factors = mutation.factors_per_bit()
             self._blocks = None
+            self._plan = fused_stage_plan(self._bit_factors, variant=variant)
         elif isinstance(mutation, GroupedMutation):
             self._bit_factors = None
             self._blocks = mutation.blocks()
@@ -249,9 +251,9 @@ class BatchedFmmp(ImplicitOperator):
                 return parallel_butterfly_transform(
                     arr,
                     self._bit_factors,
-                    variant=self.variant,
                     pre_scale=pre,
                     post_scale=post,
+                    plan=self._plan,
                     panels=self.panels,
                     engine=self._engine,
                     out=out,
@@ -260,9 +262,9 @@ class BatchedFmmp(ImplicitOperator):
             return batched_butterfly_transform(
                 arr,
                 self._bit_factors,
-                variant=self.variant,
                 pre_scale=pre,
                 post_scale=post,
+                plan=self._plan,
                 out=out,
                 scratch=scratch,
             )
@@ -310,4 +312,4 @@ class BatchedFmmp(ImplicitOperator):
             )
         from repro.perf.batched import batched_fmmp_costs
 
-        return batched_fmmp_costs(self.mutation.nu, b, form=self.form)
+        return batched_fmmp_costs(self.mutation.nu, b, form=self.form, plan=self._plan)

@@ -2,7 +2,9 @@
 
 Exact ``W·v`` in ``Θ(N log₂ N)`` with no matrix storage at all: the
 Kronecker factorization of ``Q`` turns the product into a ν-stage
-butterfly (Eq. 9 / Eq. 10, Algorithm 1).  Works unchanged for the
+butterfly (Eq. 9 / Eq. 10, Algorithm 1), run as the ``⌈ν/4⌉`` fused
+sweeps of :mod:`repro.transforms.batched` with the diagonal ``F``
+scalings folded in.  Works unchanged for the
 generalized mutation models of Sec. 2.2 — per-site factors run through
 the same butterfly, grouped factors through the multilinear Kronecker
 contraction.
@@ -14,8 +16,9 @@ Two stage orders are provided, mirroring the two recursions:
 * ``variant="eq10"`` — split before recursing (Eq. 10): descending spans.
 
 For a fixed bit↔factor assignment the stages commute, so both variants
-produce identical results (asserted in the tests) — the choice only
-matters for memory-access order, which is why the paper mentions both.
+produce identical results up to rounding (asserted in the tests) — the
+choice only matters for memory-access order, which is why the paper
+mentions both.
 """
 
 from __future__ import annotations
@@ -29,7 +32,15 @@ from repro.mutation.grouped import GroupedMutation
 from repro.mutation.persite import PerSiteMutation
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FormMixin, ImplicitOperator, OperatorCosts
+from repro.transforms.batched import batched_butterfly_transform, fused_stage_plan
 from repro.transforms.kronecker import kron_matvec
+from repro.transforms.parallel import (
+    PanelReducer,
+    get_engine,
+    parallel_butterfly_transform,
+    resolve_panels,
+    resolve_threads,
+)
 from repro.util.scratch import ScratchPool
 
 __all__ = ["Fmmp"]
@@ -56,14 +67,13 @@ class Fmmp(ImplicitOperator, FormMixin):
         Panel-engine thread count (``None`` reads ``REPRO_NUM_THREADS``,
         default 1).  With ``threads > 1`` (or an explicit ``panels``)
         2×2-factored models route :meth:`matvec` through the
-        panel-parallel stage-fused kernel
-        (:func:`repro.transforms.parallel.parallel_butterfly_transform`);
-        the output is **bit-identical** for every ``(threads, panels)``
-        combination, including the ``panels=1`` serial fused engine (it
-        differs from the legacy 7-pass scalar path only at rounding
-        level, which the verification grids bound at 1e−12).  Grouped
-        models have no butterfly to parallelize and silently stay on
-        their serial contraction.
+        panel-parallel engine
+        (:func:`repro.transforms.parallel.parallel_butterfly_transform`),
+        which runs the same sweep plan as the default serial kernel;
+        the output is **bit-identical** to the default for every
+        ``(threads, panels)`` combination.  Grouped models have no
+        butterfly to parallelize and silently stay on their serial
+        contraction.
     panels:
         Panel count ``R`` (power of two) for the parallel kernel;
         defaults to the roofline model's
@@ -101,32 +111,25 @@ class Fmmp(ImplicitOperator, FormMixin):
         self.n = mutation.n
         self._init_form(landscape, form)
 
-        # Lazy import: repro.transforms.parallel reaches into the
-        # distributed package (shared stage-split math), which imports
-        # the solvers, which import this module.
-        from repro.transforms.parallel import resolve_threads
-
         self.threads = resolve_threads(threads)
         parallel_requested = self.threads > 1 or panels is not None
         self.panels = 1
         self.panel_reducer = None
         self._engine = None
 
+        self._plan = None
         if isinstance(mutation, (UniformMutation, PerSiteMutation)):
             self._bit_factors = mutation.factors_per_bit()
             self._blocks = None
-            # Scratch for the allocation-free sweeps.  Acquired per call
-            # from a bounded keyed pool so concurrent workers can share
-            # one operator instance; the parallel engine's (N, B) blocks
-            # ride the same pool.
+            # The fused sweep plan (the kron factors) is built once here
+            # and reused by every product.
+            self._plan = fused_stage_plan(self._bit_factors, variant=variant)
+            # The one (N, 1) scratch block of the ping-pong schedule is
+            # acquired per call from a bounded keyed pool, so concurrent
+            # workers can share one operator instance.
             self._scratch_pool = ScratchPool()
             if parallel_requested:
                 from repro.perf.parallel import auto_panels
-                from repro.transforms.parallel import (
-                    PanelReducer,
-                    get_engine,
-                    resolve_panels,
-                )
 
                 if panels is None:
                     self.panels = auto_panels(
@@ -144,56 +147,21 @@ class Fmmp(ImplicitOperator, FormMixin):
         else:  # pragma: no cover - future models fall back to .apply
             self._bit_factors = None
             self._blocks = None
-        self._parallel = parallel_requested and self._bit_factors is not None
+        self._parallel = parallel_requested and self._plan is not None
 
     # ------------------------------------------------------------- product
-    def _q_fast(self, w: np.ndarray) -> np.ndarray:
-        """In-situ butterfly (or Kronecker contraction) for ``Q·w``.
-
-        ``w`` is always a fresh temporary created by ``_apply_form``
-        (the diagonal scaling copies), so in-place stages are safe.
-        """
-        if self._bit_factors is not None:
-            nu = self.mutation.nu
-            stages = range(nu) if self.variant == "eq9" else range(nu - 1, -1, -1)
-            half = (self.n // 2,)
-            s1, s2 = self._scratch_pool.acquire(half), self._scratch_pool.acquire(half)
-            try:
-                for s in stages:
-                    span = 1 << s
-                    m = self._bit_factors[s]
-                    src = w.reshape(-1, 2, span)
-                    lo = src[:, 0, :]
-                    hi = src[:, 1, :]
-                    # Allocation-free butterfly: 7 streaming passes over N/2
-                    # elements via the reusable scratch halves (the in-situ
-                    # property of Eq. 9/10 — no Θ(N) temporaries per stage).
-                    a = s1.reshape(lo.shape)
-                    b = s2.reshape(lo.shape)
-                    np.multiply(hi, m[1, 1], out=b)
-                    np.multiply(lo, m[1, 0], out=a)
-                    a += b  # new_hi
-                    np.multiply(hi, m[0, 1], out=b)
-                    lo *= m[0, 0]
-                    lo += b  # new_lo, written in place
-                    hi[:] = a
-            finally:
-                self._scratch_pool.release(s1, s2)
-            return w
+    def _q_contract(self, w: np.ndarray) -> np.ndarray:
+        """``Q·w`` for models without a 2×2 butterfly (never in place)."""
         if self._blocks is not None:
             return kron_matvec(self._blocks, w)
         return self.mutation.apply(w)
 
-    def _matvec_parallel(self, v: np.ndarray) -> np.ndarray:
-        """Panel-parallel fused product (``threads``/``panels`` engaged).
-
-        Bit-identical to the serial stage-fused kernel for every panel
-        and thread count — the diagonal ``F``/``F^{1/2}`` scalings fold
-        into the sweep schedule exactly as in
-        :meth:`repro.operators.batched.BatchedFmmp.matmat`.
-        """
-        from repro.transforms.parallel import parallel_butterfly_transform
-
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        v = self.check(v)
+        if self._plan is None:
+            return self._apply_form(v, self._q_contract)
+        # The diagonal F/F^{1/2} scalings fold into the sweep schedule,
+        # exactly as in BatchedFmmp.matmat.
         if self.form == "right":
             pre, post = self._f, None
         elif self.form == "symmetric":
@@ -202,66 +170,52 @@ class Fmmp(ImplicitOperator, FormMixin):
             pre, post = None, self._f
         shape = (self.n, 1)
         scratch = self._scratch_pool.acquire(shape)
+        kwargs = dict(pre_scale=pre, post_scale=post, plan=self._plan, scratch=scratch)
         try:
-            out = parallel_butterfly_transform(
-                v.reshape(shape),
-                self._bit_factors,
-                variant=self.variant,
-                pre_scale=pre,
-                post_scale=post,
-                panels=self.panels,
-                engine=self._engine,
-                scratch=scratch,
-            )
+            if self._parallel:
+                out = parallel_butterfly_transform(
+                    v.reshape(shape),
+                    self._bit_factors,
+                    panels=self.panels,
+                    engine=self._engine,
+                    **kwargs,
+                )
+            else:
+                out = batched_butterfly_transform(v.reshape(shape), self._bit_factors, **kwargs)
         finally:
             self._scratch_pool.release(scratch)
         return out.reshape(self.n)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = self.check(v)
-        if self._parallel:
-            return self._matvec_parallel(v)
-        if self.form == "left":
-            # _apply_form would hand the original v to q_apply; the
-            # in-situ butterfly must not clobber the caller's vector.
-            return self._f * self._q_fast(v.copy())
-        return self._apply_form(v, self._q_fast)
 
     @property
     def is_symmetric(self) -> bool:
         return self.form == "symmetric" and self.mutation.is_symmetric
 
     def costs(self, *, batch: int = 1) -> OperatorCosts:
-        """Per stage: N/2 butterflies × (4 mem ops + 6 flops), ν stages,
-        plus the diagonal scaling — the paper's ``Θ(N log₂ N)``.
+        """Costs of one product on a ``(N, batch)`` block.
 
-        With ``batch > 1`` the costs describe the stage-fused batched
-        kernel (:mod:`repro.transforms.batched`) applied to a
-        ``(N, batch)`` block: ``⌈ν/2⌉`` radix-4 sweeps with the diagonal
-        scalings folded into the ping-pong schedule, modeled by
-        :func:`repro.perf.batched.batched_fmmp_costs`.
+        Butterfly models are costed from the sweep plan this operator
+        runs (:func:`repro.perf.batched.batched_fmmp_costs`): ``⌈ν/4⌉``
+        fused sweeps plus the folded diagonal scale passes — the paper's
+        ``Θ(N log₂ N)``.  Grouped models are costed per column from their
+        Kronecker contraction.
         """
         if batch < 1:
             raise ValidationError(f"batch must be >= 1, got {batch}")
-        n = float(self.n)
-        nu = float(self.mutation.nu)
-        scale_passes = 2.0 if self.form == "symmetric" else 1.0
-        if batch > 1 and self._blocks is None:
+        if self._blocks is None:
             # Lazy import: repro.perf pulls in modules that import the
             # operators package.
             from repro.perf.batched import batched_fmmp_costs
 
-            return batched_fmmp_costs(self.mutation.nu, batch, form=self.form)
-        if self._blocks is not None:
-            # Σ per-group contraction cost: N * 2^{g_i} mults/adds each.
-            contraction = sum(2.0 * n * (1 << b) for b in self.mutation.group_sizes)
-            flops = contraction + scale_passes * n
-            bytes_moved = 8.0 * (2.0 * n * len(self._blocks) + 3.0 * scale_passes * n)
-            flops *= batch
-            bytes_moved *= batch
-        else:
-            flops = 6.0 * (n / 2.0) * nu + scale_passes * n
-            bytes_moved = 8.0 * (4.0 * (n / 2.0) * nu + 3.0 * scale_passes * n)
+            return batched_fmmp_costs(
+                self.mutation.nu, batch, form=self.form, plan=self._plan
+            )
+        n = float(self.n)
+        scale_passes = 2.0 if self.form == "symmetric" else 1.0
+        # Σ per-group contraction cost: N * 2^{g_i} mults/adds each.
+        contraction = sum(2.0 * n * (1 << b) for b in self.mutation.group_sizes)
         return OperatorCosts(
-            flops=flops, bytes_moved=bytes_moved, storage_bytes=8.0 * n, batch=batch
+            flops=batch * (contraction + scale_passes * n),
+            bytes_moved=batch * 8.0 * (2.0 * n * len(self._blocks) + 3.0 * scale_passes * n),
+            storage_bytes=8.0 * n,
+            batch=batch,
         )

@@ -1,38 +1,34 @@
-"""Roofline cost model + crossover bench for the batched Fmmp kernel.
+"""Cost model + crossover bench for the fused Fmmp kernel.
 
-The scalar ``Fmmp._q_fast`` streams 7 elementwise passes over ``N/2``
-items per stage × ν stages.  The stage-fused batched kernel
-(:mod:`repro.transforms.batched`) replaces this with ``⌈ν/2⌉`` radix-4
-``matmul`` sweeps over an ``(N, B)`` block — one read stream and one
-write stream each — with the diagonal ``F`` scalings folded into the
-ping-pong schedule.  Both kernels are bandwidth-bound (the paper's
-Sec. 4 premise), so the B-dependent *bytes-moved* model below is the
-whole performance story:
+Every Fmmp product — ``Fmmp.matvec`` (``B = 1``) and
+``BatchedFmmp.matmat`` — runs the fused sweep plan of
+:mod:`repro.transforms.batched`: ``⌈ν/4⌉`` GEMM-shaped sweeps over an
+``(N, B)`` block, one read stream and one write stream each, with the
+diagonal ``F`` scalings folded into the ping-pong schedule.  The kernel
+is bandwidth-bound (the paper's Sec. 4 premise), so the bytes model is
+counted straight from that plan:
 
-======================= ==========================================
-path                    bytes moved for B vectors
-======================= ==========================================
-scalar × B              ``B · 8 · (4·(N/2)·ν + 3·s·N)``
-fused (radix-4)         ``16·N·B·⌈ν/2⌉ + pre/post passes``
-======================= ==========================================
+    bytes = 16·N·B·⌈ν/4⌉ + scale passes · 8·(2·N·B + N)
 
-(``s`` = diagonal scale passes of the form.)  The per-vector ratio of
-the two is :func:`modeled_speedup`; it rises quickly with ν because the
-fused path's sweep count halves and its 7 passes collapse to 2.  The
-measured counterpart (:func:`measure_batched_matmat`,
-:func:`measured_crossover`) backs the model with wall-clock numbers —
+(one pass for the right/left forms, two for the symmetric form).  The
+per-vector ratio between ``B = 1`` and ``B`` columns is
+:func:`modeled_speedup`: batching only amortizes the diagonal reads, so
+the model predicts a small gain.  The measured counterpart
+(:func:`measure_batched_matmat`, :func:`measured_crossover`) times the
+default ``Fmmp.matvec`` against ``BatchedFmmp.matmat`` —
 ``benchmarks/bench_batched.py`` records both into ``BENCH_fmmp.json``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.operators.base import OperatorCosts
-from repro.perf.costs import fmmp_costs
+from repro.transforms.batched import GROUP_BITS, FusedStage
 from repro.util.timing import TimingResult, median_time
 
 __all__ = [
@@ -67,40 +63,35 @@ def batched_fmmp_costs(
     batch: int,
     *,
     form: str = "right",
-    radix4: bool = True,
+    plan: Sequence[FusedStage] | None = None,
 ) -> OperatorCosts:
-    """Costs of one fused ``(N, batch)`` Fmmp product.
+    """Costs of one fused ``(N, batch)`` Fmmp product, from its plan.
 
-    Models the exact sweep schedule of
-    :func:`repro.transforms.batched.batched_butterfly_transform`:
+    Counts the schedule of
+    :func:`repro.transforms.batched.batched_butterfly_transform` running
+    ``plan`` (an operator's cached plan; by default the
+    :func:`~repro.transforms.batched.fused_stage_plan` shape for ν):
 
-    * ``⌊ν/2⌋`` radix-4 sweeps (+1 radix-2 sweep if ν is odd); each
-      sweep reads and writes the whole block once (``16·N·B`` bytes) and
-      spends ``2r−1`` flops per element (r = radix);
+    * each sweep of radix ``r`` reads and writes the whole block once
+      (``16·N·B`` bytes) and spends ``2r−1`` flops per element;
     * a pre-scale pass (read block + read diagonal + write block) when
       the form needs a leading ``F``/``F^{1/2}`` multiply;
     * a post-scale epilogue (read + read diagonal + write, in place on
       the output block) when it needs a trailing one.
-
-    With ``batch=1`` this still describes the fused kernel (which now
-    also backs the scalar path), *not* the legacy 7-pass sweep — use
-    :func:`repro.perf.costs.fmmp_costs` for that model.
     """
     nu = _check_nu(nu)
     if not isinstance(batch, int) or batch < 1:
         raise ValidationError(f"batch must be a positive integer, got {batch!r}")
     pre, post = _form_passes(form)
-    n = float(1 << nu)
-    b = float(batch)
-    nb = n * b
-    if radix4:
-        r4, r2 = nu // 2, nu % 2
+    if plan is None:
+        radices = [1 << min(GROUP_BITS, nu - i) for i in range(0, nu, GROUP_BITS)]
     else:
-        r4, r2 = 0, nu
-    sweeps = r4 + r2
+        radices = [stage.radix for stage in plan]
+    n = float(1 << nu)
+    nb = n * float(batch)
     # Fused butterfly sweeps: one read + one write stream per sweep.
-    bytes_moved = 16.0 * nb * sweeps
-    flops = nb * (7.0 * r4 + 3.0 * r2)
+    bytes_moved = 16.0 * nb * len(radices)
+    flops = nb * sum(2.0 * r - 1.0 for r in radices)
     # Diagonal scale passes (the diagonal itself is (N,) or (N, B); we
     # model the shared (N,) read — the per-column case adds 8·N·(B−1)
     # per pass, a lower-order term for B ≪ N).
@@ -116,25 +107,16 @@ def batched_fmmp_costs(
     )
 
 
-def modeled_speedup(
-    nu: int,
-    batch: int,
-    *,
-    form: str = "right",
-    radix4: bool = True,
-) -> float:
-    """Modeled per-vector speedup of the fused kernel over the scalar path.
+def modeled_speedup(nu: int, batch: int, *, form: str = "right") -> float:
+    """Modeled per-vector speedup of a ``batch``-column product over
+    ``batch`` single-vector products (both on the fused kernel).
 
-    Both kernels are memory-bound, so the speedup is the ratio of
-    per-vector *bytes moved*: scalar 7-pass model
-    (:func:`~repro.perf.costs.fmmp_costs`) over the fused model's
-    amortized column cost.
+    The kernel is memory-bound, so this is the ratio of per-vector
+    *bytes moved*; only the diagonal reads amortize across columns.
     """
-    pre, post = _form_passes(form)
-    scale_passes = 2.0 if (pre and post) else 1.0
-    scalar = fmmp_costs(nu, scale_passes=scale_passes)
-    fused = batched_fmmp_costs(nu, batch, form=form, radix4=radix4)
-    return scalar.bytes_moved / fused.per_vector().bytes_moved
+    single = batched_fmmp_costs(nu, 1, form=form)
+    fused = batched_fmmp_costs(nu, batch, form=form)
+    return single.bytes_moved / fused.per_vector().bytes_moved
 
 
 def modeled_crossover_batch(
@@ -147,8 +129,7 @@ def modeled_crossover_batch(
     """Smallest ``B`` whose modeled per-vector speedup reaches the target.
 
     Returns ``None`` if even ``max_batch`` columns cannot amortize the
-    fixed scale-pass traffic to the target — in that regime the service
-    should stay on the scalar route.
+    scale-pass traffic to the target.
     """
     nu = _check_nu(nu)
     if target_speedup <= 0.0:
@@ -171,7 +152,7 @@ class BatchedMeasurement:
     nu, batch:
         Problem size and block width.
     single_s:
-        Median wall-clock of one scalar ``matvec`` (so ``batch`` solves
+        Median wall-clock of one ``Fmmp.matvec`` (so ``batch`` products
         cost ``batch · single_s``).
     batched_s:
         Median wall-clock of one fused ``matmat`` over the whole block.
@@ -184,13 +165,13 @@ class BatchedMeasurement:
 
     @property
     def per_vector_speedup(self) -> float:
-        """Scalar time per vector over batched time per vector."""
+        """Single-vector time over batched time per vector."""
         return self.single_s / (self.batched_s / self.batch)
 
     @property
     def single_gbs(self) -> float:
-        """Effective scalar bandwidth (7-pass model bytes / measured s)."""
-        return fmmp_costs(self.nu).bytes_moved / self.single_s / 1e9
+        """Effective single-vector bandwidth (model bytes / measured s)."""
+        return batched_fmmp_costs(self.nu, 1).bytes_moved / self.single_s / 1e9
 
     @property
     def batched_gbs(self) -> float:
@@ -219,7 +200,7 @@ def measure_batched_matmat(
     repeats: int = 3,
     min_time: float = 0.01,
 ) -> BatchedMeasurement:
-    """Time scalar ``Fmmp.matvec`` vs fused ``BatchedFmmp.matmat``.
+    """Time ``Fmmp.matvec`` vs ``BatchedFmmp.matmat`` on one block.
 
     Uses a uniform mutation model and a single-peak landscape (the
     bench's canonical workload); the block columns are independent

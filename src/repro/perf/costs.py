@@ -13,8 +13,11 @@ operator    flops                                      complexity class
 ========== ========================================== =====================
 ``Smvp``    ``2N²``                                    ``Θ(N²)``
 ``Xmvp``    ``2N·Σ_{k≤dmax}C(ν,k) + 2N``               ``Θ(N·Σ C(ν,k))``
-``Fmmp``    ``3N·ν + N``                               ``Θ(N log₂ N)``
+``Fmmp``    ``N·Σ_sweeps(2r−1) + N``                    ``Θ(N log₂ N)``
 ========== ========================================== =====================
+
+(The Fmmp row is the fused sweep plan's count — ``⌈ν/4⌉`` sweeps of
+radix ``r ≤ 16`` — from :func:`repro.perf.batched.batched_fmmp_costs`.)
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 
 from repro.exceptions import ValidationError
 from repro.operators.base import OperatorCosts
+from repro.perf.batched import batched_fmmp_costs
 
 __all__ = ["fmmp_costs", "xmvp_costs", "smvp_costs", "xmvp_mask_count", "operator_costs"]
 
@@ -41,15 +45,9 @@ def xmvp_mask_count(nu: int, dmax: int) -> int:
     return sum(math.comb(nu, k) for k in range(dmax + 1))
 
 
-def fmmp_costs(nu: int, *, scale_passes: float = 1.0) -> OperatorCosts:
-    """Fmmp per-matvec costs: ν butterfly stages of N/2 items each."""
-    nu = _check(nu)
-    n = float(1 << nu)
-    return OperatorCosts(
-        flops=6.0 * (n / 2.0) * nu + scale_passes * n,
-        bytes_moved=8.0 * (4.0 * (n / 2.0) * nu + 3.0 * scale_passes * n),
-        storage_bytes=8.0 * n,
-    )
+def fmmp_costs(nu: int) -> OperatorCosts:
+    """Fmmp per-matvec costs (right form): the fused sweep plan at B=1."""
+    return batched_fmmp_costs(_check(nu), 1)
 
 
 def xmvp_costs(nu: int, dmax: int, *, scale_passes: float = 1.0) -> OperatorCosts:

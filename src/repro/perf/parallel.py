@@ -102,11 +102,11 @@ class ParallelCosts:
     modeled_time_s: float
 
 
-def _steps(nu: int, form: str, radix4: bool) -> int:
+def _steps(nu: int, form: str) -> int:
     """Barrier-separated steps: fused sweeps plus the pre-scale sweep
     (the post-scale epilogue rides the final barrier)."""
     pre, post = _form_passes(form)
-    return fused_stage_count(nu, radix4=radix4) + (1 if pre else 0) + (1 if post else 0)
+    return fused_stage_count(nu) + (1 if pre else 0) + (1 if post else 0)
 
 
 def parallel_fmmp_costs(
@@ -116,17 +116,16 @@ def parallel_fmmp_costs(
     threads: int = 1,
     panels: int | None = None,
     form: str = "right",
-    radix4: bool = True,
     host: HostModel = DEFAULT_HOST,
 ) -> ParallelCosts:
     """Threaded roofline for one panel-parallel Fmmp product."""
     threads = resolve_threads(threads)
-    serial = batched_fmmp_costs(nu, batch, form=form, radix4=radix4)
-    r = resolve_panels(panels, nu, threads=threads, radix4=radix4)
+    serial = batched_fmmp_costs(nu, batch, form=form)
+    r = resolve_panels(panels, nu, threads=threads)
     t_eff = min(threads, r)  # more threads than panels just idle
     units_critical = -(-r // t_eff)  # ceil(R/T): busiest participant
     bytes_critical = serial.bytes_moved * units_critical / r
-    sweeps = _steps(nu, form, radix4)
+    sweeps = _steps(nu, form)
     # Each of the T streaming participants sustains its 1/T share of the
     # saturated aggregate bandwidth BW₁·sat(T); the busiest one carries
     # ``bytes_critical`` of traffic at that per-thread rate.
@@ -153,13 +152,12 @@ def modeled_thread_speedup(
     *,
     panels: int | None = None,
     form: str = "right",
-    radix4: bool = True,
     host: HostModel = DEFAULT_HOST,
 ) -> float:
     """Modeled wall-clock speedup of ``threads`` panel workers over the
     serial fused kernel (same bytes, more bandwidth, plus barriers)."""
     serial = parallel_fmmp_costs(
-        nu, batch, threads=1, panels=1, form=form, radix4=radix4, host=host
+        nu, batch, threads=1, panels=1, form=form, host=host
     )
     par = parallel_fmmp_costs(
         nu,
@@ -167,7 +165,6 @@ def modeled_thread_speedup(
         threads=threads,
         panels=panels,
         form=form,
-        radix4=radix4,
         host=host,
     )
     return serial.modeled_time_s / par.modeled_time_s
@@ -179,7 +176,6 @@ def auto_panels(
     *,
     threads: int,
     form: str = "right",
-    radix4: bool = True,
     host: HostModel = DEFAULT_HOST,
 ) -> int:
     """Roofline-guided panel count for ``(ν, B, threads)``.
@@ -192,7 +188,7 @@ def auto_panels(
     threads = resolve_threads(threads)
     if threads == 1:
         return 1
-    cap = max_panels(nu, radix4=radix4)
+    cap = max_panels(nu)
     best_r, best_s = 1, 1.0
     r = 2
     top = 1
@@ -200,7 +196,7 @@ def auto_panels(
         top <<= 1
     while r <= min(top, cap):
         s = modeled_thread_speedup(
-            nu, batch, threads, panels=r, form=form, radix4=radix4, host=host
+            nu, batch, threads, panels=r, form=form, host=host
         )
         if s > best_s:
             best_r, best_s = r, s
@@ -215,7 +211,6 @@ def modeled_thread_crossover(
     target_speedup: float = 1.8,
     max_threads: int = 64,
     form: str = "right",
-    radix4: bool = True,
     host: HostModel = DEFAULT_HOST,
 ) -> int | None:
     """Smallest thread count whose modeled speedup reaches the target
@@ -226,7 +221,7 @@ def modeled_thread_crossover(
     while t <= max_threads:
         if (
             modeled_thread_speedup(
-                nu, batch, t, form=form, radix4=radix4, host=host
+                nu, batch, t, form=form, host=host
             )
             >= target_speedup
         ):
@@ -305,7 +300,7 @@ def measure_parallel_matmat(
 
     threads = resolve_threads(threads)
     r = (
-        auto_panels(nu, batch, threads=threads, form=form, radix4=True)
+        auto_panels(nu, batch, threads=threads, form=form)
         if panels is None
         else resolve_panels(panels, nu, threads=threads)
     )

@@ -14,10 +14,9 @@ semantics:
 * :mod:`repro.transforms.kronecker` — matvec with an arbitrary Kronecker
   product of small dense factors (Eq. 11 generality),
 * :mod:`repro.transforms.batched` — the stage-fused, cache-blocked
-  multi-vector butterfly kernel (radix-4 stage fusion, folded diagonal
-  scalings, one scratch block) that backs both the scalar
-  ``butterfly_transform``/``fwht`` paths and the batched
-  ``matmat`` operators.
+  butterfly kernel (4-bit GEMM-shaped sweeps, folded diagonal scalings,
+  one scratch block) behind ``Fmmp.matvec``, the batched ``matmat``
+  operators and the ``butterfly_transform``/``fwht`` paths.
 """
 
 from repro.transforms.butterfly import (

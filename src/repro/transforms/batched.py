@@ -1,23 +1,25 @@
-"""Stage-fused, cache-blocked butterfly kernels for multi-vector blocks.
+"""Stage-fused, cache-blocked butterfly kernel: the one Fmmp product path.
 
-The scalar butterfly of :mod:`repro.transforms.butterfly` streams seven
-elementwise passes over ``N/2`` elements per 2×2 stage.  When ``B``
-right-hand sides share the same Kronecker factors (the batched sweeps of
-the service layer; the ``B`` columns of a Walsh-spectrum block), the same
-mathematics admits a far better memory schedule:
+A Kronecker product of ν 2×2 factors applied to the columns of an
+``(N, B)`` block (``B = 1`` for a plain ``Fmmp.matvec``) is scheduled as
+a few GEMM-shaped sweeps instead of ν elementwise stages:
 
 * **block layout** — vectors are the *columns* of an ``(N, B)`` C-order
-  block, so the two butterfly partners of a stage with span ``h`` are
-  contiguous runs of ``h·B`` doubles.  Even the worst stage (``h = 1``)
-  touches memory in ``B``-element cache lines instead of stride-2
-  scalars: the batch dimension is the cache block.
-* **stage fusion** — each stage is one fused ``matmul``/``einsum`` call
-  (a single read stream and a single write stream, ≤ 3 passes counting a
-  folded diagonal scale) instead of the scalar path's 7 passes.
-* **radix-4 fusion** — two adjacent 2×2 stages acting on bits ``s`` and
-  ``s+1`` commute and combine into one 4×4 factor
-  ``kron(M_{s+1}, M_s)`` applied to groups of 4, halving the number of
-  sweeps over the block (``⌈ν/2⌉`` instead of ``ν``).
+  block, so the butterfly partners of a sweep with span ``h`` are
+  contiguous runs of ``h·B`` doubles.
+* **4-bit sweeps** — up to four adjacent bits (in the ``eq9``/``eq10``
+  traversal order) fuse into one ``16×16`` factor
+  ``kron(M_{s+3}, …, M_s)``, so the block is streamed ``⌈ν/4⌉`` times;
+  the ``ν mod 4`` leftover bits form one smaller group.  Each sweep is a
+  single stacked ``matmul`` — one read stream and one write stream.
+* **right-side low sweep** — when a sweep has ``span·B == 1`` (the
+  lowest group of a single vector) its groups are the rows of an
+  ``(N/r, r)`` matrix, so the sweep is ``src · Kᵀ`` on a stacked
+  ``(g, A, r)`` view with a fixed row count ``A``: a few hundred tall
+  GEMMs instead of ``N/r`` tiny matrix products.
+* **bounded GEMMs** — wide groups are cut into column chunks so no GEMM
+  exceeds :data:`GEMM_MAX_MNK`; the kernel stays single-threaded and
+  parallelism is left to :mod:`repro.transforms.parallel`.
 * **diagonal folding** — the ``F`` (and ``F^{1/2}``) scalings of the
   eigenproblem forms (Eqs. 3–5) fold into the sweep schedule: the
   pre-scale becomes the leading write of the ping-pong chain (replacing
@@ -26,11 +28,14 @@ mathematics admits a far better memory schedule:
   its own.
 * **one scratch block** — the whole transform ping-pongs between the
   output block and a single reusable ``(N, B)`` scratch buffer.
+* **plan built once** — :func:`fused_stage_plan` builds the ``kron``
+  factors; operators build it once and pass it back through ``plan=``.
 
 Stages acting on distinct bits commute (see
 :mod:`repro.transforms.butterfly`), so every fusion above is *exact* up
-to floating-point rounding; the differential-verification grids compare
-this kernel against the scalar 7-pass path on every spec.
+to floating-point rounding; the tests and the verification grids compare
+this kernel against the paper's Algorithm 1 transcription
+(:func:`~repro.transforms.butterfly.butterfly_transform_reference`).
 """
 
 from __future__ import annotations
@@ -49,6 +54,18 @@ __all__ = [
     "batched_butterfly_transform",
 ]
 
+#: Adjacent bits fused into one sweep (``2**GROUP_BITS``-square factors).
+GROUP_BITS = 4
+
+#: Largest ``m·n·k`` of one GEMM in a sweep.  Every sweep is cut into
+#: stacked GEMMs of at most this size: each stays cache-resident and at
+#: or below OpenBLAS's multithreading threshold, so the kernel runs on
+#: the calling thread and never waits on BLAS worker wake-ups (which
+#: stall for tens of milliseconds when the host's cores are busy).  The
+#: shapes depend only on the block and the plan — never on the panel
+#: count — so the panel engine's slices see the serial kernel's GEMMs.
+GEMM_MAX_MNK = 1 << 18
+
 
 def _check_2x2(m: np.ndarray, what: str = "factor") -> np.ndarray:
     arr = np.asarray(m, dtype=np.float64)
@@ -66,12 +83,12 @@ class FusedStage:
     span:
         Pair distance of the *lowest* bit this sweep mixes (``2**s``).
     radix:
-        2 for a plain stage, 4 for two radix-2 stages fused into one
-        4×4 factor.
+        ``2**k`` for a sweep fusing the ``k`` bits ``s … s+k−1``.
     matrix:
-        The ``(radix, radix)`` mixing matrix; for ``radix == 4`` it is
-        ``kron(M_{s+1}, M_s)`` (bit ``s+1`` is the high bit of the
-        combined index — exactly the C-order reshape convention).
+        The ``(radix, radix)`` mixing matrix
+        ``kron(M_{s+k−1}, …, M_s)`` (the highest bit is the most
+        significant digit of the group index — exactly the C-order
+        reshape convention).
     """
 
     span: int
@@ -79,26 +96,25 @@ class FusedStage:
     matrix: np.ndarray
 
 
-def fused_stage_count(nu: int, *, radix4: bool = True) -> int:
-    """Number of fused sweeps over the block: ``⌈ν/2⌉`` with radix-4
-    fusion, ``ν`` without."""
+def fused_stage_count(nu: int) -> int:
+    """Number of fused sweeps over the block: ``⌈ν/4⌉``."""
     if nu < 1:
         raise ValidationError(f"nu must be >= 1, got {nu}")
-    return (nu + 1) // 2 if radix4 else nu
+    return -(-nu // GROUP_BITS)
 
 
 def fused_stage_plan(
     factors: Sequence[np.ndarray],
     *,
     variant: str = "eq9",
-    radix4: bool = True,
 ) -> list[FusedStage]:
     """Build the fused sweep schedule for ``factors``.
 
     ``variant="eq9"`` traverses bits in ascending span order (Eq. 9 /
-    Algorithm 1); ``variant="eq10"`` in descending order (Eq. 10).  With
-    ``radix4=True``, bits adjacent in the traversal are paired into 4×4
-    factors whenever their spans are adjacent powers of two.
+    Algorithm 1); ``variant="eq10"`` in descending order (Eq. 10).  The
+    traversal is cut into runs of four bits, the last run holding the
+    ``ν mod 4`` leftover bits; each run becomes one sweep whose matrix is
+    the ``kron`` of its bits' 2×2 factors.
     """
     if variant not in ("eq9", "eq10"):
         raise ValidationError(f"variant must be 'eq9' or 'eq10', got {variant!r}")
@@ -108,20 +124,12 @@ def fused_stage_plan(
     mats = [_check_2x2(m, f"factors[{i}]") for i, m in enumerate(factors)]
     order = list(range(nu)) if variant == "eq9" else list(range(nu - 1, -1, -1))
     plan: list[FusedStage] = []
-    i = 0
-    while i < len(order):
-        if radix4 and i + 1 < len(order):
-            a, b = order[i], order[i + 1]
-            lo, hi = (a, b) if a < b else (b, a)
-            if hi == lo + 1:
-                plan.append(
-                    FusedStage(span=1 << lo, radix=4, matrix=np.kron(mats[hi], mats[lo]))
-                )
-                i += 2
-                continue
-        s = order[i]
-        plan.append(FusedStage(span=1 << s, radix=2, matrix=mats[s]))
-        i += 1
+    for i in range(0, nu, GROUP_BITS):
+        lo, *rest = sorted(order[i : i + GROUP_BITS])
+        matrix = mats[lo]
+        for s in rest:
+            matrix = np.kron(mats[s], matrix)
+        plan.append(FusedStage(span=1 << lo, radix=1 << (1 + len(rest)), matrix=matrix))
     return plan
 
 
@@ -149,19 +157,82 @@ def _check_scale(scale, n: int, b: int, name: str) -> np.ndarray | None:
     )
 
 
-def _apply_fused(src: np.ndarray, dst: np.ndarray, stage: FusedStage) -> None:
-    """One fused sweep ``dst = M · src`` on every butterfly group.
+def _prepare(block, factors, variant, pre_scale, post_scale, plan, out, scratch):
+    """Validate a transform call and resolve its plan and buffers.
 
-    The hot path of the kernel: a single strided ``matmul`` — one read
-    stream and one write stream over the whole block.  The inner
-    ``span·B`` axis is contiguous, so even the worst stage (span 1)
-    moves whole cache lines (the batch dimension is the cache block).
+    Returns ``(block, pre, post, plan, out, scratch)`` with the block as
+    a C-contiguous float64 ``(N, B)`` array; ``scratch`` stays ``None``
+    when none was given and the schedule has a single step.
+    """
+    work_in = _check_block(block, None, "block")
+    n, b = work_in.shape
+    nu = len(factors)
+    if nu == 0:
+        raise ValidationError("at least one factor is required")
+    if n != (1 << nu):
+        raise ValidationError(f"block must have 2**{nu} = {1 << nu} rows, got {n}")
+    pre = _check_scale(pre_scale, n, b, "pre_scale")
+    post = _check_scale(post_scale, n, b, "post_scale")
+    if plan is None:
+        plan = fused_stage_plan(factors, variant=variant)
+    elif sum(stage.radix.bit_length() - 1 for stage in plan) != nu:
+        raise ValidationError(f"plan does not cover the {nu} bits of the factors")
+
+    def _buffer(buf: np.ndarray | None, name: str) -> np.ndarray:
+        if buf is None:
+            return np.empty((n, b), dtype=np.float64)
+        if buf.shape != (n, b) or buf.dtype != np.float64 or not buf.flags.c_contiguous:
+            raise ValidationError(
+                f"{name} must be a C-contiguous float64 array of shape ({n}, {b})"
+            )
+        if np.shares_memory(buf, block):
+            raise ValidationError(f"{name} must not alias the input block")
+        return buf
+
+    out = _buffer(out, "out")
+    if scratch is not None or (1 if pre is not None else 0) + len(plan) > 1:
+        scratch = _buffer(scratch, "scratch")
+        if np.shares_memory(scratch, out):
+            raise ValidationError("scratch must not alias out")
+    return work_in, pre, post, plan, out, scratch
+
+
+def _sweep_views(src: np.ndarray, dst: np.ndarray, stage: FusedStage):
+    """``(src4, dst4, right)``: one sweep as stacked GEMMs.
+
+    Both views have two leading *stacking* axes whose items are
+    independent GEMMs of one fixed shape.  Left sweeps view the block as
+    ``(g, chunks, r, z)`` — group, column chunk of ``z ≤ span·B``
+    doubles, the ``r`` rows mixed — and compute ``K · item``; a sweep
+    with ``span·B == 1`` is a *right* sweep on the ``(g, 1, A, r)`` view
+    (``A`` rows of ``r`` contiguous doubles) and computes ``item · Kᵀ``.
     """
     n, b = src.shape
     r, h = stage.radix, stage.span
-    g = n // (r * h)
-    z = h * b
-    np.matmul(stage.matrix, src.reshape(g, r, z), out=dst.reshape(g, r, z))
+    cap = GEMM_MAX_MNK // (r * r)
+    if h * b == 1:
+        a = min(cap, n // r)
+        shape = (n // (a * r), 1, a, r)
+        return src.reshape(shape), dst.reshape(shape), True
+    # Chunks are whole rows (hc rows of b columns), a power of two ≤ span.
+    hc = min(h, 1 << max((cap // b).bit_length() - 1, 0))
+    shape = (n // (r * h), r, h // hc, hc * b)
+    return src.reshape(shape).swapaxes(1, 2), dst.reshape(shape).swapaxes(1, 2), False
+
+
+def _apply_sweep(src4: np.ndarray, dst4: np.ndarray, stage: FusedStage, right: bool) -> None:
+    """``dst4 = sweep(src4)`` on (a slice of) :func:`_sweep_views`."""
+    if right:
+        np.matmul(src4, stage.matrix.T, out=dst4)
+    else:
+        np.matmul(stage.matrix, src4, out=dst4)
+
+
+def _apply_fused(src: np.ndarray, dst: np.ndarray, stage: FusedStage) -> None:
+    """One fused sweep ``dst = M · src`` on every butterfly group: one
+    stacked ``matmul``, one read and one write stream."""
+    src4, dst4, right = _sweep_views(src, dst, stage)
+    _apply_sweep(src4, dst4, stage, right)
 
 
 def _scale_into(dst: np.ndarray, src: np.ndarray, scale: np.ndarray) -> None:
@@ -176,7 +247,7 @@ def batched_butterfly_transform(
     variant: str = "eq9",
     pre_scale: np.ndarray | None = None,
     post_scale: np.ndarray | None = None,
-    radix4: bool = True,
+    plan: Sequence[FusedStage] | None = None,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -197,8 +268,9 @@ def batched_butterfly_transform(
         Optional diagonal scalings folded into the first / last sweep:
         shape ``(N,)`` (shared by all columns) or ``(N, B)`` (per
         column).  ``out = post ∘ (M_ν ⊗ … ⊗ M_1) · (pre ∘ block)``.
-    radix4:
-        Fuse adjacent stages into 4×4 factors (default).
+    plan:
+        The :func:`fused_stage_plan` of ``factors`` (and ``variant``),
+        built once by the caller; built here when omitted.
     out:
         Optional ``(N, B)`` float64 C-contiguous output block.  Must not
         alias ``block``.
@@ -212,52 +284,25 @@ def batched_butterfly_transform(
     numpy.ndarray
         The transformed ``(N, B)`` block (``out`` if given).
     """
-    work_in = _check_block(block, None, "block")
-    n, b = work_in.shape
-    nu = len(factors)
-    if nu == 0:
-        raise ValidationError("at least one factor is required")
-    if n != (1 << nu):
-        raise ValidationError(f"block must have 2**{nu} = {1 << nu} rows, got {n}")
-    pre = _check_scale(pre_scale, n, b, "pre_scale")
-    post = _check_scale(post_scale, n, b, "post_scale")
-    plan = fused_stage_plan(factors, variant=variant, radix4=radix4)
-    # The pre-scale is folded into the schedule as the leading write of
-    # the ping-pong chain (it replaces the first sweep's input read of
-    # the caller's block); the post-scale is an in-place epilogue on the
-    # output block (no extra buffer traffic).
-    steps = (1 if pre is not None else 0) + len(plan)
-
-    def _buffer(buf: np.ndarray | None, name: str) -> np.ndarray:
-        if buf is None:
-            return np.empty((n, b), dtype=np.float64)
-        if buf.shape != (n, b) or buf.dtype != np.float64 or not buf.flags.c_contiguous:
-            raise ValidationError(
-                f"{name} must be a C-contiguous float64 array of shape ({n}, {b})"
-            )
-        if np.shares_memory(buf, block):
-            raise ValidationError(f"{name} must not alias the input block")
-        return buf
-
-    out = _buffer(out, "out")
-    if steps > 1:
-        scratch = _buffer(scratch, "scratch")
-        if scratch is out or np.shares_memory(scratch, out):
-            raise ValidationError("scratch must not alias out")
-    # Ping-pong so the last step lands in ``out``: step ``i`` writes
-    # ``out`` when (steps-1-i) is even, ``scratch`` otherwise.
-    src = work_in
-    i = 0
+    src, pre, post, plan, out, scratch = _prepare(
+        block, factors, variant, pre_scale, post_scale, plan, out, scratch
+    )
+    # Ping-pong so the last step lands in ``out``: a step writes ``out``
+    # when an even number of steps remain after it, ``scratch``
+    # otherwise.  The pre-scale is the leading write of the chain (it
+    # replaces the first sweep's read of the caller's block); the
+    # post-scale is an in-place epilogue on ``out``.
+    remaining = (1 if pre is not None else 0) + len(plan)
     if pre is not None:
-        dst = out if (steps - 1 - i) % 2 == 0 else scratch
+        remaining -= 1
+        dst = scratch if remaining % 2 else out
         _scale_into(dst, src, pre)
         src = dst
-        i += 1
     for stage in plan:
-        dst = out if (steps - 1 - i) % 2 == 0 else scratch
+        remaining -= 1
+        dst = scratch if remaining % 2 else out
         _apply_fused(src, dst, stage)
         src = dst
-        i += 1
     if post is not None:
         out *= post[:, None] if post.ndim == 1 else post
     return out

@@ -7,28 +7,22 @@ sweep schedule on a persistent pool of worker threads, partitioning the
 index bits — the same layout under which
 :class:`repro.distributed.partition.PartitionedVector` splits ranks.
 
-Per fused sweep with group view ``(g, r, z)`` (``g`` butterfly groups of
-``r`` rows of ``z = span·B`` contiguous doubles):
-
-* **local sweeps** (``g >= R``, i.e. span ``r·h <= N/R``): every
-  butterfly group lives inside one panel; panel ``p`` applies the fused
-  ``matmul`` to its own contiguous run of groups — no sharing at all;
-* **cross sweeps** (``g < R``): a butterfly group spans ``R/g`` panels;
-  the group's ``z`` axis is cut into ``R/g`` whole-row chunks
-  (``N/(r·R)`` rows each) and each work unit applies the full ``r×r``
-  mix to its chunk, reading the partner panels' rows in place.
-
-Both cuts slice :func:`numpy.matmul` along the *stacking* axis (local)
-or the *column* axis in whole-row units (cross) — partitions NumPy/BLAS
-evaluates with the very same per-element operation order as the
-unsliced call.  Together with barrier synchronization between sweeps
-and the fixed ping-pong buffer parity of the serial kernel, the result
-is **bit-identical** to :func:`~repro.transforms.batched.batched_butterfly_transform`
-for every panel count and thread count (asserted across the whole
-model/form grid in the tests).  Slicing the *output rows* of a single
-``matmul`` would *not* have this property (BLAS may pick a different
-micro-kernel per shape), which is why the cross sweeps cut ``z`` and
-not the mix rows.
+Each fused sweep is one stacked ``matmul`` over GEMMs of a fixed shape
+(see :func:`repro.transforms.batched._sweep_views`); the engine cuts the
+run of stacked GEMMs into at most ``R`` contiguous work units and runs
+the units of a sweep between two barriers.  A unit is either a run of
+whole butterfly groups (the group lives inside one panel) or, for a
+group wider than a panel, a run of that group's column chunks — the
+unit then reads the partner panels' rows in place.  A slice of a
+stacked ``matmul`` evaluates the very same per-item GEMMs as the whole
+call, so together with the fixed ping-pong buffer parity of the serial
+kernel the result is **bit-identical** to
+:func:`~repro.transforms.batched.batched_butterfly_transform` for every
+panel count and thread count (asserted across the whole model/form grid
+in the tests).  Cutting *inside* a GEMM would not have this property
+(BLAS picks a micro-kernel per shape, and for 16×16 factors narrow and
+wide kernels round differently), so a sweep with fewer stacked GEMMs
+than panels runs with fewer units.
 
 NumPy releases the GIL inside the large slice kernels, so the panels
 genuinely overlap on multicore hosts; see ``docs/performance.md`` for
@@ -43,14 +37,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.bitops.panels import panel_bounds, stage_is_local
+from repro.bitops.panels import panel_bounds
 from repro.exceptions import ValidationError
 from repro.transforms.batched import (
     FusedStage,
-    _check_block,
-    _check_scale,
+    _apply_sweep,
+    _prepare,
+    _sweep_views,
     batched_butterfly_transform,
-    fused_stage_plan,
 )
 
 __all__ = [
@@ -92,18 +86,17 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def max_panels(nu: int, *, radix4: bool = True) -> int:
-    """Largest admissible panel count ``R`` for a ν-bit transform.
+def max_panels(nu: int) -> int:
+    """Largest admissible panel count ``R`` for a ν-bit transform:
+    ``N/4`` (``N/2`` at ``ν = 1``).
 
-    Every sweep needs ``R <= N/radix`` so a cross sweep can cut each
-    butterfly group's ``z`` axis into whole-row chunks; radix-4 plans
-    (``ν >= 2``) therefore admit ``R <= N/4``, plain radix-2 plans
-    ``R <= N/2``.
+    A sweep with fewer stacked GEMMs than panels (only at small ν)
+    simply runs with fewer work units — see :func:`_stage_units`.
     """
     if nu < 1:
         raise ValidationError(f"nu must be >= 1, got {nu}")
     n = 1 << nu
-    return max(1, n // (4 if (radix4 and nu >= 2) else 2))
+    return max(1, n // (4 if nu >= 2 else 2))
 
 
 def resolve_panels(
@@ -111,7 +104,6 @@ def resolve_panels(
     nu: int,
     *,
     threads: int = 1,
-    radix4: bool = True,
 ) -> int:
     """Resolve the panel count ``R`` (a power of two).
 
@@ -120,7 +112,7 @@ def resolve_panels(
     (small ν simply cannot host many panels — the clamp keeps sweeps
     like ``R=4`` at ``ν=2`` well-defined instead of erroring).
     """
-    cap = max_panels(nu, radix4=radix4)
+    cap = max_panels(nu)
     if panels is None:
         r = 1
         while r < threads:
@@ -308,49 +300,34 @@ def _post_unit(out: np.ndarray, post: np.ndarray, p: int, panels: int) -> None:
     np.multiply(out[r0:r1], s, out=out[r0:r1])
 
 
-def _stage_units(n: int, b: int, stage: FusedStage, panels: int) -> int:
-    """Effective work-unit count for one fused sweep.
+def _stage_units(src: np.ndarray, stage: FusedStage, panels: int) -> int:
+    """Work-unit count of one fused sweep: its stacked GEMMs cut into
+    at most ``panels`` contiguous runs.
 
-    A cross-sweep ``z`` chunk must stay **at least two columns wide**:
-    a single-column ``matmul`` operand drops BLAS onto the matrix-vector
-    path, whose summation order differs from the matrix-matrix kernel's
-    and would break bitwise identity with the serial sweep (probed
-    empirically; width >= 2 chunks match the unsliced call exactly).
-    Narrow sweeps (tiny ``span·B``) therefore run with fewer, wider
-    units — still a power of two, still independent of the thread
-    count, so the bits never depend on parallelism parameters.
+    A slice of a stacked ``matmul`` runs the very same per-item GEMMs as
+    the whole call, so the bits never depend on the cut.  Cutting inside
+    a GEMM would not be safe: its shape selects the BLAS micro-kernel,
+    and for 16×16 factors kernels of different widths round differently.
     """
-    r, h = stage.radix, stage.span
-    g = n // (r * h)
-    u = panels
-    while u > g and (h // (u // g)) * b < 2:
-        u //= 2
-    return u
+    s4, _, _ = _sweep_views(src, src, stage)
+    return min(panels, s4.shape[0] * s4.shape[1])
 
 
 def _stage_unit(
-    src: np.ndarray, dst: np.ndarray, stage: FusedStage, p: int, panels: int
+    src: np.ndarray, dst: np.ndarray, stage: FusedStage, p: int, units: int
 ) -> None:
-    """Work unit ``p`` of a fused sweep: the group-axis slice (local) or
-    the partner-reading whole-row ``z`` chunk (cross)."""
-    n, b = src.shape
-    r, h = stage.radix, stage.span
-    g = n // (r * h)
-    z = h * b
-    src3 = src.reshape(g, r, z)
-    dst3 = dst.reshape(g, r, z)
-    if stage_is_local(h, r, n, panels):  # ⇔ g >= panels
-        # Local sweep: panel p owns groups [p·g/R, (p+1)·g/R).
-        g0, g1 = p * g // panels, (p + 1) * g // panels
-        np.matmul(stage.matrix, src3[g0:g1], out=dst3[g0:g1])
+    """Work unit ``p`` of ``units``: a contiguous run of the sweep's
+    stacked GEMMs — whole groups, or a run of column chunks inside one
+    group (a butterfly group wider than a panel: the unit reads the
+    partner panels' rows in place)."""
+    s4, d4, right = _sweep_views(src, dst, stage)
+    g, m = s4.shape[:2]
+    k0, k1 = p * g * m // units, (p + 1) * g * m // units
+    if k1 - k0 >= m:
+        sl = (slice(k0 // m, k1 // m),)
     else:
-        # Cross sweep: R/g work units per group, each mixing the full
-        # r×r factor over a whole-row z-chunk of N/(r·R) rows.
-        cpg = panels // g
-        q, c = p // cpg, p % cpg
-        zc = (h // cpg) * b
-        sl = slice(c * zc, (c + 1) * zc)
-        np.matmul(stage.matrix, src3[q][:, sl], out=dst3[q][:, sl])
+        sl = (k0 // m, slice(k0 % m, k0 % m + k1 - k0))
+    _apply_sweep(s4[sl], d4[sl], stage, right)
 
 
 def parallel_butterfly_transform(
@@ -360,7 +337,7 @@ def parallel_butterfly_transform(
     variant: str = "eq9",
     pre_scale: np.ndarray | None = None,
     post_scale: np.ndarray | None = None,
-    radix4: bool = True,
+    plan: Sequence[FusedStage] | None = None,
     panels: int | None = None,
     threads: int | None = None,
     engine: PanelEngine | None = None,
@@ -375,7 +352,7 @@ def parallel_butterfly_transform(
 
     Parameters
     ----------
-    block, factors, variant, pre_scale, post_scale, radix4, out, scratch:
+    block, factors, variant, pre_scale, post_scale, plan, out, scratch:
         As for the serial kernel.
     panels:
         Panel count ``R`` (power of two); ``None`` auto-picks the
@@ -388,48 +365,23 @@ def parallel_butterfly_transform(
         A :class:`PanelEngine` to run on (defaults to the shared
         :func:`get_engine` pool for ``threads``).
     """
-    work_in = _check_block(block, None, "block")
-    n, b = work_in.shape
-    nu = len(factors)
-    if nu == 0:
-        raise ValidationError("at least one factor is required")
-    if n != (1 << nu):
-        raise ValidationError(f"block must have 2**{nu} = {1 << nu} rows, got {n}")
+    work_in, pre, post, plan, out, scratch = _prepare(
+        block, factors, variant, pre_scale, post_scale, plan, out, scratch
+    )
     threads_n = engine.threads if engine is not None else resolve_threads(threads)
-    panels_n = resolve_panels(panels, nu, threads=threads_n, radix4=radix4)
+    panels_n = resolve_panels(panels, len(factors), threads=threads_n)
     if panels_n == 1:
         # One panel ⇒ the partitioned schedule is the serial schedule.
         return batched_butterfly_transform(
             work_in,
             factors,
-            variant=variant,
-            pre_scale=pre_scale,
-            post_scale=post_scale,
-            radix4=radix4,
+            pre_scale=pre,
+            post_scale=post,
+            plan=plan,
             out=out,
             scratch=scratch,
         )
-    pre = _check_scale(pre_scale, n, b, "pre_scale")
-    post = _check_scale(post_scale, n, b, "post_scale")
-    plan = fused_stage_plan(factors, variant=variant, radix4=radix4)
     steps = (1 if pre is not None else 0) + len(plan)
-
-    def _buffer(buf: np.ndarray | None, name: str) -> np.ndarray:
-        if buf is None:
-            return np.empty((n, b), dtype=np.float64)
-        if buf.shape != (n, b) or buf.dtype != np.float64 or not buf.flags.c_contiguous:
-            raise ValidationError(
-                f"{name} must be a C-contiguous float64 array of shape ({n}, {b})"
-            )
-        if np.shares_memory(buf, block):
-            raise ValidationError(f"{name} must not alias the input block")
-        return buf
-
-    out = _buffer(out, "out")
-    if steps > 1:
-        scratch = _buffer(scratch, "scratch")
-        if scratch is out or np.shares_memory(scratch, out):
-            raise ValidationError("scratch must not alias out")
     eng = engine if engine is not None else get_engine(threads_n)
     nt = eng.threads
 
@@ -450,7 +402,7 @@ def parallel_butterfly_transform(
             i += 1
         for stage in plan:
             dst = out if (steps - 1 - i) % 2 == 0 else scratch
-            u = _stage_units(n, b, stage, panels_n)
+            u = _stage_units(src, stage, panels_n)
             for p in range(t * u // nt, (t + 1) * u // nt):
                 _stage_unit(src, dst, stage, p, u)
             eng.barrier_wait()

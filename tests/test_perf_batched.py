@@ -44,15 +44,16 @@ class TestBatchedCostModel:
         assert right.bytes_moved == left.bytes_moved  # one pass each
         assert sym.bytes_moved > right.bytes_moved  # pre AND post
 
-    def test_radix4_halves_sweep_bytes(self):
-        fused = batched_fmmp_costs(8, 16, radix4=True)
-        plain = batched_fmmp_costs(8, 16, radix4=False)
-        assert fused.bytes_moved < plain.bytes_moved
-        # sweep term exactly halves for even nu
-        n, b = float(1 << 8), 16.0
-        assert plain.bytes_moved - fused.bytes_moved == pytest.approx(
-            16.0 * n * b * (8 - 4)
+    def test_sweep_costs_follow_the_four_bit_plan(self):
+        # nu=10 runs sweeps of radix 16, 16 and 4: three passes over the
+        # block, 2r-1 flops per element each, plus the left form's one
+        # post-scale pass.
+        costs = batched_fmmp_costs(10, 16, form="left")
+        n, b = float(1 << 10), 16.0
+        assert costs.bytes_moved == pytest.approx(
+            16.0 * n * b * 3 + 8.0 * (2.0 * n * b + n)
         )
+        assert costs.flops == pytest.approx(n * b * (31 + 31 + 7 + 1))
 
     def test_per_vector_amortization(self):
         c16 = batched_fmmp_costs(10, 16)
@@ -76,13 +77,15 @@ class TestModeledSpeedupAndCrossover:
         assert all(b >= a for a, b in zip(speedups, speedups[1:]))
 
     def test_acceptance_regime_modeled(self):
-        """The ISSUE acceptance point (nu=18, B=16) must clear 1.5x
-        already in the bytes model — the measured bench then confirms."""
-        assert modeled_speedup(18, 16) >= 1.5
+        """The acceptance point (nu=18, B=16) against the fused B=1
+        product: B columns share only the diagonal read of each scale
+        pass, so the bytes model predicts 104N / 96.5N per vector — far
+        below the 1.5x bar, which only the measured bench can judge."""
+        assert modeled_speedup(18, 16) == pytest.approx(104.0 / 96.5)
 
     def test_crossover_reaches_target(self):
-        b = modeled_crossover_batch(18, target_speedup=1.5)
-        assert b is not None and b <= 16
+        assert modeled_crossover_batch(18, target_speedup=1.05) == 4
+        assert modeled_crossover_batch(18, target_speedup=1.5) is None
 
     def test_crossover_unreachable_returns_none(self):
         assert modeled_crossover_batch(8, target_speedup=1e9) is None
@@ -106,6 +109,20 @@ class TestCostReconciliation:
         assert got.flops == pytest.approx(want.flops)
         assert got.bytes_moved == pytest.approx(want.bytes_moved)
         assert got.batch == batch
+
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_costs_count_the_operator_plan(self, batch, variant):
+        nu = 11
+        op = Fmmp(UniformMutation(nu, 0.01), SinglePeakLandscape(nu), variant=variant)
+        radices = [stage.radix for stage in op._plan]
+        assert sorted(radices) == [8, 16, 16]
+        nb = float(op.n * batch)
+        costs = op.costs(batch=batch)
+        assert costs.flops == pytest.approx(nb * (sum(2 * r - 1 for r in radices) + 1))
+        assert costs.bytes_moved == pytest.approx(
+            16.0 * nb * len(radices) + 8.0 * (2.0 * nb + op.n)
+        )
 
     def test_batched_operator_costs_match_model(self):
         nu = 7
@@ -152,5 +169,5 @@ class TestMeasurement:
         assert d["single_gbs"] > 0.0 and d["batched_gbs"] > 0.0
 
     def test_scalar_model_still_available(self):
-        # the legacy 7-pass model stays the scalar reference
-        assert fmmp_costs(8).bytes_moved > 0.0
+        # the closed-form entry point is the B=1 plan model
+        assert fmmp_costs(8).bytes_moved == batched_fmmp_costs(8, 1).bytes_moved

@@ -73,8 +73,9 @@ class TestThreadsStayOutOfJobIdentity:
         np.testing.assert_array_equal(t2.concentrations, t4.concentrations)
         rerun = execute_job(job, threads=2)
         assert rerun.eigenvalue == t2.eigenvalue
-        # The serial route runs the legacy scalar kernel — agreement is
-        # to solver tolerance there, not bitwise.
+        # The serial route reduces with plain NumPy sums instead of the
+        # panel reducer — agreement is to solver tolerance there, not
+        # bitwise.
         assert serial.eigenvalue == pytest.approx(t2.eigenvalue, abs=1e-10)
         np.testing.assert_allclose(
             serial.concentrations, t2.concentrations, rtol=1e-9, atol=1e-12

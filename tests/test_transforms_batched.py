@@ -18,30 +18,70 @@ def random_factors(nu, seed=0):
     return [rng.standard_normal((2, 2)) + 2.0 * np.eye(2) for _ in range(nu)]
 
 
+def kron_of_bits(factors, lo, radix):
+    """``kron(M_hi, …, M_lo)`` of the bits a sweep of this radix fuses."""
+    want = np.ones((1, 1))
+    for s in reversed(range(lo, lo + radix.bit_length() - 1)):
+        want = np.kron(want, factors[s])
+    return want
+
+
 class TestFusedStagePlan:
-    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5, 8])
-    def test_radix4_halves_sweep_count(self, nu):
-        plan = fused_stage_plan(random_factors(nu), radix4=True)
-        assert len(plan) == nu // 2 + nu % 2
-        assert fused_stage_count(nu) == len(plan)
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5, 7, 8, 20])
+    def test_four_bit_sweeps_are_krons_of_their_bits(self, nu, variant):
+        factors = random_factors(nu)
+        plan = fused_stage_plan(factors, variant=variant)
+        assert len(plan) == -(-nu // 4) == fused_stage_count(nu)
+        covered = []
+        for stage in plan:
+            lo = stage.span.bit_length() - 1
+            np.testing.assert_allclose(
+                stage.matrix, kron_of_bits(factors, lo, stage.radix), rtol=1e-15
+            )
+            covered += range(lo, lo + stage.radix.bit_length() - 1)
+        assert sorted(covered) == list(range(nu))
 
-    @pytest.mark.parametrize("nu", [1, 3, 5])
-    def test_odd_nu_keeps_one_radix2_stage(self, nu):
-        plan = fused_stage_plan(random_factors(nu), radix4=True)
-        radices = sorted(stage.radix for stage in plan)
-        assert radices.count(2) == 1
-        assert radices.count(4) == nu // 2
-
-    def test_radix4_disabled_keeps_all_stages(self):
-        plan = fused_stage_plan(random_factors(6), radix4=False)
-        assert len(plan) == 6
-        assert all(stage.radix == 2 for stage in plan)
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    @pytest.mark.parametrize("nu", [1, 3, 5, 6, 7, 9])
+    def test_leftover_bits_form_one_smaller_group(self, nu, variant):
+        plan = fused_stage_plan(random_factors(nu), variant=variant)
+        assert [stage.radix for stage in plan[:-1]] == [16] * (nu // 4)
+        # The traversal order is kept: eq9 ends on the top bits, eq10 on
+        # the bottom ones, so the leftover group is the last sweep.
+        assert plan[-1].radix == 1 << (nu % 4)
+        assert plan[-1].span == (1 << (nu - nu % 4) if variant == "eq9" else 1)
 
     def test_radix4_factor_is_kron_of_adjacent_stages(self):
         factors = random_factors(2, seed=3)
-        plan = fused_stage_plan(factors, radix4=True)
+        plan = fused_stage_plan(factors)
         assert len(plan) == 1 and plan[0].radix == 4
         np.testing.assert_allclose(plan[0].matrix, np.kron(factors[1], factors[0]))
+
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    def test_single_vector_low_sweep_multiplies_from_the_right(self, variant, monkeypatch):
+        import repro.transforms.batched as kernel
+
+        routes = []
+        apply_sweep = kernel._apply_sweep
+
+        def spy(src3, dst3, stage, right):
+            routes.append((stage.span, right))
+            apply_sweep(src3, dst3, stage, right)
+
+        monkeypatch.setattr(kernel, "_apply_sweep", spy)
+        factors = random_factors(10)
+        plan = fused_stage_plan(factors, variant=variant)
+        v = np.random.default_rng(0).standard_normal((1 << 10, 1))
+        got = batched_butterfly_transform(v, factors, variant=variant)
+        # Only the span-1 group of a single vector takes the right route.
+        assert routes == [(stage.span, stage.span == 1) for stage in plan]
+        assert sum(right for _, right in routes) == 1
+        want = butterfly_transform_reference(v[:, 0], factors)
+        np.testing.assert_allclose(got[:, 0], want, atol=1e-12 * np.abs(want).max())
+        routes.clear()
+        batched_butterfly_transform(np.hstack([v, v]), factors, variant=variant)
+        assert not any(right for _, right in routes)
 
 
 class TestBatchedButterflyCorrectness:
@@ -67,13 +107,15 @@ class TestBatchedButterflyCorrectness:
             want = butterfly_transform_reference(block[:, j], factors)
             np.testing.assert_allclose(got[:, j], want, rtol=1e-12, atol=1e-13)
 
-    def test_radix2_and_radix4_agree(self):
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    def test_four_bit_and_leftover_sweeps_match_reference(self, variant):
         factors = random_factors(5, seed=1)
         rng = np.random.default_rng(1)
         block = rng.standard_normal((32, 4))
-        a = batched_butterfly_transform(block, factors, radix4=True)
-        b = batched_butterfly_transform(block, factors, radix4=False)
-        np.testing.assert_allclose(a, b, rtol=1e-13)
+        got = batched_butterfly_transform(block, factors, variant=variant)
+        for j in range(4):
+            want = butterfly_transform_reference(block[:, j], factors)
+            np.testing.assert_allclose(got[:, j], want, rtol=1e-13, atol=1e-14)
 
     def test_input_block_never_mutated(self):
         factors = random_factors(3)
