@@ -76,10 +76,18 @@ def distance_to_master(nu: int) -> np.ndarray:
     """``dH(X_i, X_0)`` for all ``0 <= i < 2**nu`` as an ``int64`` array.
 
     This is simply the popcount of every index — the vector that defines
-    error-class membership and Hamming-based fitness landscapes.
+    error-class membership and Hamming-based fitness landscapes.  It is
+    built by doubling: setting bit ``k`` adds one to every index below
+    ``2**k``, so ``d[2**k : 2**(k+1)] = d[:2**k] + 1`` — one pass of
+    additions over the output instead of a SWAR popcount per element.
     """
     nu = check_chain_length(nu)
-    return popcount(np.arange(1 << nu, dtype=np.uint64))
+    d = np.empty(1 << nu, dtype=np.int64)
+    d[0] = 0
+    for k in range(nu):
+        half = 1 << k
+        np.add(d[:half], 1, out=d[half : 2 * half])
+    return d
 
 
 def hamming_matrix(nu: int, *, max_nu: int = 13) -> np.ndarray:

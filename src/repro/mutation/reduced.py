@@ -28,33 +28,55 @@ new distance).  Hence
     Σ_k QΓ[d, k]·x^k = ((1−p) + p·x)^{ν−d} · (p + (1−p)·x)^{d},
 
 so each row is one ``numpy.convolve`` of two binomial-expansion
-coefficient vectors — ``Θ(ν²)`` per row and C-speed, which keeps even
-ν = 1000 (a 2¹⁰⁰⁰-dimensional full problem) in milliseconds.  The
-binomial weights are evaluated in log space so very long chains neither
-overflow the binomials nor lose the small-``k`` structure to underflow.
+coefficient vectors, ``Θ(ν²)`` per row at C speed.  The binomial weights
+are evaluated in log space so very long chains neither overflow the
+binomials nor lose the small-``k`` structure to underflow.
+
+Both coefficient families are tabulated once per ``(ν, p)``: the
+``(ν+1)×(ν+1)`` table ``log C(n, i) = lg[n] − lg[i] − lg[n−i]`` is
+built from the ν+1 values ``lg[i] = lgamma(i+1)``, and one ``np.exp``
+per family turns it into the rows ``C(n, i)·s^i·f^{n−i}`` that the
+convolutions read.  Each entry takes the same floating-point
+operations, in the same order, as scalar ``log_binomial`` calls would,
+so the tabulation does not change a bit of the matrix.  The tables take
+``O(ν²)`` memory; the build takes ~0.1 ms at ν = 20 and ~0.15 s at
+ν = 1000 (a 2¹⁰⁰⁰-dimensional full problem), where the convolutions
+dominate.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.exceptions import ValidationError
-from repro.util.binomial import binomial, log_binomial
+from repro.util.binomial import binomial
 from repro.util.validation import check_chain_length, check_error_rate
 
 __all__ = ["reduced_mutation_matrix", "reduced_mutation_matrix_reference"]
 
 
-def _binomial_pmf(n: int, log_success: float, log_fail: float) -> np.ndarray:
-    """Coefficients ``C(n, i)·success^i·fail^{n−i}`` for ``i = 0..n``,
-    computed in log space (entries below ~1e-300 flush to zero)."""
-    if n == 0:
-        return np.ones(1)
-    i = np.arange(n + 1, dtype=np.float64)
-    log_c = np.array([log_binomial(n, int(k)) for k in range(n + 1)])
-    logs = log_c + i * log_success + (n - i) * log_fail
+def _binomial_pmf_tables(nu: int, log_p: float, log_1mp: float):
+    """Row ``n`` of each table holds ``C(n, i)·s^i·f^{n−i}`` for
+    ``i = 0..n`` (zero beyond ``n``), with ``(s, f) = (p, 1−p)`` for the
+    first table and ``(1−p, p)`` for the second; computed in log space
+    (entries below ~1e-300 flush to zero)."""
+    # lgamma(k + 1) = log(k!), so log C(n, k) = lg[n] − lg[k] − lg[n − k].
+    lg = np.array([math.lgamma(k + 1) for k in range(nu + 1)])
+    k = np.arange(nu + 1)
+    n = k[:, None]
+    log_c = lg[n] - lg[k] - lg[np.abs(n - k)]
+    log_c[k > n] = -np.inf
+    i = k.astype(np.float64)
+    rest = n - i
+
+    def table(log_s: float, log_f: float) -> np.ndarray:
+        logs = log_c + i * log_s
+        logs += rest * log_f
+        return np.exp(logs, out=logs)
+
     with np.errstate(under="ignore"):
-        return np.exp(logs)
+        return table(log_p, log_1mp), table(log_1mp, log_p)
 
 
 def reduced_mutation_matrix(nu: int, p: float) -> np.ndarray:
@@ -81,14 +103,13 @@ def reduced_mutation_matrix(nu: int, p: float) -> np.ndarray:
 
     log_p = np.log(p)
     log_1mp = np.log1p(-p)
+    # ((1−p) + p·x)^{n}: "success" = contributing to the new distance (a
+    # wild site flipping), probability p; (p + (1−p)·x)^{n}: a set site
+    # *stays* set with 1−p.
+    wild, mutant = _binomial_pmf_tables(nu, log_p, log_1mp)
     q = np.empty((nu + 1, nu + 1))
     for d in range(nu + 1):
-        # ((1−p) + p·x)^{ν−d}: "success" = contributing to the new
-        # distance (a wild site flipping), probability p.
-        wild = _binomial_pmf(nu - d, log_p, log_1mp)
-        # (p + (1−p)·x)^{d}: a set site *stays* set with 1−p.
-        mutant = _binomial_pmf(d, log_1mp, log_p)
-        q[d, :] = np.convolve(wild, mutant)
+        q[d, :] = np.convolve(wild[nu - d, : nu - d + 1], mutant[d, : d + 1])
     return q
 
 

@@ -125,6 +125,17 @@ def canonical_payload(obj):
     :func:`content_hash`'s JSON serialization.  Raises for types with no
     canonical form (no silent ``repr`` fallbacks).
     """
+    # Exact-type fast path for what job payloads hold (``bool`` is not
+    # ``int`` here, so it still reaches the chain below).
+    kind = type(obj)
+    if kind is float:
+        return obj.hex()
+    if kind is str or kind is int:
+        return obj
+    if kind is tuple:
+        return [canonical_payload(x) for x in obj]
+    if kind is dict:
+        return {str(k): canonical_payload(v) for k, v in obj.items()}
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, (int, str)):
@@ -146,7 +157,14 @@ def canonical_payload(obj):
 
 def content_hash(obj) -> str:
     """Deterministic SHA-256 hex digest of a canonicalized payload."""
-    blob = json.dumps(canonical_payload(obj), sort_keys=True, separators=(",", ":"))
+    return _digest(canonical_payload(obj))
+
+
+def _digest(canonical) -> str:
+    """SHA-256 hex digest of an already canonical payload — the one place
+    a digest is computed, so :class:`SolveJob` can hash its canonical
+    payload without walking it again."""
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -390,17 +408,43 @@ class SolveJob:
             "shift": self.shift,
         }
 
+    def _keys(self) -> tuple[str, str, str]:
+        """``(content_key, cache_key, operator_key)``, computed together
+        on first use from one canonical payload and memoized on the
+        instance, in ``__dict__`` outside the dataclass fields: equality,
+        hashing, ``asdict`` and ``to_dict`` never see them,
+        :meth:`__getstate__` leaves them out of pickles, and ``with_``
+        builds a new instance, so a changed job never reuses them."""
+        keys = self.__dict__.get("_memo_keys")
+        if keys is None:
+            c = canonical_payload(self._problem_payload() | self._route_payload())
+            knobs = canonical_payload({"tol": self.tol, "max_iterations": self.max_iterations})
+            reduced = self.is_reduced
+            operator = {
+                "nu": c["nu"],
+                "p": c["p"],
+                "mutation": c["mutation"],
+                "seed": None if self.mutation == "uniform" else c["seed"],
+                "reduced": reduced,
+                "operator": None if reduced else c["operator"],
+                "dmax": None if reduced else c["dmax"],
+            }
+            keys = (_digest(c | knobs), _digest(c), _digest(operator))
+            self.__dict__["_memo_keys"] = keys
+        return keys
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def content_key(self) -> str:
         """Full content hash (problem + route + accuracy knobs)."""
-        payload = self._problem_payload() | self._route_payload()
-        payload |= {"tol": self.tol, "max_iterations": self.max_iterations}
-        return content_hash(payload)
+        return self._keys()[0]
 
     def cache_key(self) -> str:
         """Content hash *excluding* accuracy knobs (``tol``,
         ``max_iterations``) and the cosmetic ``tag`` — the key under
         which the tolerance-aware result cache files this job."""
-        return content_hash(self._problem_payload() | self._route_payload())
+        return self._keys()[1]
 
     def operator_key(self) -> str:
         """Hash identifying jobs that share operator construction.
@@ -414,16 +458,7 @@ class SolveJob:
         seeds is a single operator group, i.e. one batched butterfly
         stream.
         """
-        payload = {
-            "nu": self.nu,
-            "p": self.p,
-            "mutation": self.mutation,
-            "seed": None if self.mutation == "uniform" else self.seed,
-            "reduced": self.is_reduced,
-            "operator": None if self.is_reduced else self.operator,
-            "dmax": None if self.is_reduced else self.dmax,
-        }
-        return content_hash(payload)
+        return self._keys()[2]
 
     # ----------------------------------------------------------- structure
     def resolved_method(self) -> str:

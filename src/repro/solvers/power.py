@@ -18,6 +18,7 @@ Paper-faithful details implemented here:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -123,6 +124,8 @@ class PowerIteration:
         x = np.asarray(start, dtype=np.float64).copy()
         if x.shape != (op.n,):
             raise ValidationError(f"start vector must have shape ({op.n},), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValidationError("start vector must be finite (it holds NaN or inf)")
         mass = np.abs(x).sum()
         if mass <= 0.0:
             raise ValidationError("start vector must have nonzero mass")
@@ -151,6 +154,15 @@ class PowerIteration:
                 residual = lam * red.diff_norm(y, x)
             else:
                 residual = lam * float(np.linalg.norm(y - x))
+            # NaN fails every comparison below, so without this guard a
+            # non-finite iterate would burn the whole iteration budget.
+            if not (math.isfinite(lam) and math.isfinite(residual)):
+                raise ConvergenceError(
+                    f"non-finite iterate at iteration {iterations} "
+                    f"(lambda={lam}, residual={residual})",
+                    iterations=iterations,
+                    residual=float(residual),
+                )
             x = y
             if self.record_history:
                 history.append(IterationRecord(iterations, lam + mu, residual))
@@ -380,6 +392,10 @@ class BlockPowerIteration:
             x = np.stack(cols, axis=1).astype(np.float64)
         else:
             x = np.ascontiguousarray(starts, dtype=np.float64).copy()
+        finite = np.isfinite(x).all(axis=0)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValidationError(f"start column {bad} must be finite (it holds NaN or inf)")
         mass = np.abs(x).sum(axis=0)
         if np.any(mass <= 0.0):
             bad = int(np.argmin(mass))
@@ -419,6 +435,15 @@ class BlockPowerIteration:
                 res_act = lam_act * red.diff_norm(y, x)
             else:
                 res_act = lam_act * np.linalg.norm(y - x, axis=0)
+            finite = np.isfinite(lam_act) & np.isfinite(res_act)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise ConvergenceError(
+                    f"column {active[k]}: non-finite iterate at sweep {sweeps} "
+                    f"(lambda={lam_act[k]}, residual={res_act[k]})",
+                    iterations=sweeps,
+                    residual=float(res_act[k]),
+                )
 
             if self.record_history:
                 for k, j in enumerate(active):

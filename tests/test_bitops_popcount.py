@@ -86,6 +86,12 @@ class TestDistanceToMaster:
         sizes = np.bincount(d, minlength=7)
         np.testing.assert_array_equal(sizes, [1, 6, 15, 20, 15, 6, 1])
 
+    def test_doubling_equals_popcount_of_indices(self):
+        for nu in range(1, 21):
+            d = distance_to_master(nu)
+            assert d.dtype == np.int64
+            np.testing.assert_array_equal(d, popcount(np.arange(1 << nu, dtype=np.uint64)))
+
 
 class TestHammingMatrix:
     def test_nu2_matrix(self):

@@ -9,6 +9,7 @@ from repro.bitops.classes import error_class_indices, error_class_representative
 from repro.exceptions import ValidationError
 from repro.mutation import UniformMutation, reduced_mutation_matrix
 from repro.mutation.reduced import reduced_mutation_matrix_reference
+from repro.util.binomial import log_binomial
 
 
 class TestAgainstFullMatrix:
@@ -39,6 +40,24 @@ class TestAgainstFullMatrix:
                 assert q_red[d, k] == pytest.approx(expected, abs=1e-13)
 
 
+def _per_row_build(nu: int, p: float) -> np.ndarray:
+    """Eq. 14 row by row, each binomial weight a scalar ``log_binomial``
+    call: the loop the tabulated build vectorizes."""
+    log_p, log_1mp = np.log(p), np.log1p(-p)
+
+    def pmf(n, log_s, log_f):
+        if n == 0:
+            return np.ones(1)
+        i = np.arange(n + 1, dtype=np.float64)
+        log_c = np.array([log_binomial(n, k) for k in range(n + 1)])
+        with np.errstate(under="ignore"):
+            return np.exp(log_c + i * log_s + (n - i) * log_f)
+
+    return np.array(
+        [np.convolve(pmf(nu - d, log_p, log_1mp), pmf(d, log_1mp, log_p)) for d in range(nu + 1)]
+    )
+
+
 class TestConvolutionEqualsTripleSum:
     """The fast convolution form equals the literal Eq. (14) sums."""
 
@@ -49,6 +68,23 @@ class TestConvolutionEqualsTripleSum:
             reduced_mutation_matrix(nu, p),
             reduced_mutation_matrix_reference(nu, p),
             atol=1e-13,
+        )
+
+    @pytest.mark.parametrize("nu", [1, 2, 5, 14, 20, 64, 200])
+    @pytest.mark.parametrize("p", [1e-3, 0.01, 0.1, 0.37, 0.5])
+    def test_tabulated_build_is_bitwise_the_per_row_build(self, nu, p):
+        # same float operations in the same order: not one bit may move
+        fast = reduced_mutation_matrix(nu, p)
+        assert fast.tobytes() == _per_row_build(nu, p).tobytes()
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 5, 8, 13, 20, 30])
+    @pytest.mark.parametrize("p", [1e-3, 0.01, 0.1, 0.37, 0.5])
+    def test_tabulated_build_matches_triple_sum(self, nu, p):
+        np.testing.assert_allclose(
+            reduced_mutation_matrix(nu, p),
+            reduced_mutation_matrix_reference(nu, p),
+            rtol=0.0,
+            atol=1e-14,
         )
 
 

@@ -1,5 +1,8 @@
 """Tests for the canonical job specs and content hashing."""
 
+import pickle
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,11 @@ from repro.service import (
     JobResult,
     ProblemSpec,
     SolveJob,
+    SolverService,
     canonical_payload,
     content_hash,
 )
+from repro.service import jobspec
 from repro.verify import spec as verify_spec
 
 
@@ -41,6 +46,97 @@ class TestCanonicalPayload:
         a = content_hash({"nu": 4, "p": 0.01})
         b = content_hash({"nu": 4, "p": 0.01})
         assert a == b and len(a) == 64
+
+    @pytest.mark.parametrize(
+        "job, digests",
+        [
+            (
+                SolveJob(nu=12, p=0.01, landscape="random", mutation="persite", seed=5,
+                         method="power", shift=True, tol=1e-10),
+                ("dd669b398deb757e7915d066c116edbd18a0d64639c6423550b2b53bf7277c21",
+                 "0d152e6598cf037a10f55043e4382fb1e30e9d6e3efaf395b7044fb014fbec39",
+                 "2af961e2b9d2ade1a834618fe1ec3c7e7041c63047c3861496e0f0daca4c4a5c"),
+            ),
+            (
+                SolveJob(nu=3, p=0.05, landscape="hamming", class_values=(2.0, 1.5, 1.0, 1.0),
+                         tag="golden"),
+                ("63e5883402ee5d517b0207c46354b08138ce7926d30478a38355e9754e6fc97f",
+                 "72b16180ad8ec82d02ac8f3e29e391fea1381583399f4a6ffb8dc246fd216617",
+                 "6ba5fd81bf24a0b1372ae7066523738fc95020b93fec6cae263dae69b6734f8d"),
+            ),
+        ],
+        ids=["named", "hamming"],
+    )
+    def test_job_digests_are_pinned(self, job, digests):
+        # disk-cache filenames are these digests: they must never drift
+        assert (job.content_key(), job.cache_key(), job.operator_key()) == digests
+
+
+def _keys(job: SolveJob) -> tuple[str, str, str]:
+    return job.content_key(), job.cache_key(), job.operator_key()
+
+
+class TestKeyMemo:
+    """Each job instance computes its three digests at most once."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        # every SHA-256 of the module, content_hash's included, goes
+        # through _digest; jobs hash their memoized canonical payload
+        calls = []
+        real = jobspec._digest
+
+        def spy(obj):
+            calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(jobspec, "_digest", spy)
+        return calls
+
+    def test_keys_computed_once_per_instance(self, digests):
+        job = SolveJob(nu=6, p=0.02, landscape="random", method="power")
+        first = _keys(job)
+        assert len(digests) == 3
+        assert _keys(job) == first and len(digests) == 3
+
+    @pytest.mark.service_smoke
+    def test_submit_hashes_each_unique_job_at_most_three_times(self, digests):
+        unique = [SolveJob(nu=6, p=p, peak=peak) for p in (0.01, 0.02, 0.03) for peak in (2.0, 3.0)]
+        jobs = unique + unique[::2]  # duplicates are the same objects
+        service = SolverService()
+        first = service.submit(jobs)
+        assert first.passed and first.n_solved == len(unique)
+        assert len(digests) <= 3 * len(unique)
+        digests.clear()
+        second = service.submit(jobs)
+        assert second.n_cached == len(unique) and second.n_solved == 0
+        assert digests == []
+
+    def test_with_copies_get_fresh_keys(self):
+        job = SolveJob(nu=6, p=0.02, landscape="hamming", class_values=(2.0,) + (1.0,) * 6)
+        keys = _keys(job)
+        changed = job.with_(p=0.03, tol=1e-8)
+        fresh = SolveJob(nu=6, p=0.03, landscape="hamming", class_values=(2.0,) + (1.0,) * 6,
+                         tol=1e-8)
+        assert _keys(changed) == _keys(fresh)
+        assert all(a != b for a, b in zip(_keys(changed), keys))
+        assert _keys(job.with_(tag="x")) == keys
+
+    def test_memo_invisible_to_dataclass_protocols(self):
+        job = SolveJob(nu=6, p=0.02, landscape="random", seed=3, method="power")
+        twin = SolveJob(nu=6, p=0.02, landscape="random", seed=3, method="power")
+        pickled = pickle.dumps(twin)
+        _keys(job)
+        assert job == twin and hash(job) == hash(twin)
+        assert asdict(job) == asdict(twin) and job.to_dict() == twin.to_dict()
+        assert pickle.dumps(job) == pickled
+
+    def test_pickle_round_trip_keeps_keys(self):
+        job = SolveJob(nu=5, p=0.04, landscape="hamming", class_values=(3.0,) + (1.0,) * 5,
+                       mutation="uniform", shift=0.25)
+        keys = _keys(job)
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone == job and _keys(clone) == keys
 
 
 class TestSharedProblemSpec:

@@ -126,6 +126,25 @@ class TestDeflationAndFailure:
         assert all(np.isfinite(r.eigenvalue) for r in block)
 
 
+class _NanColumnAfter:
+    """Stub block operator: the wrapped shared-landscape product, with one
+    column all NaN from call ``calls`` on."""
+
+    def __init__(self, op, column: int, calls: int):
+        self.op = op
+        self.n = op.n
+        self.column = column
+        self.nan_from = calls
+        self.calls = 0
+
+    def matmat(self, block):
+        self.calls += 1
+        y = self.op.matmat(block, columns=list(range(block.shape[1])))
+        if self.calls >= self.nan_from:
+            y[:, self.column] = np.nan
+        return y
+
+
 class TestValidation:
     def test_bad_tol_and_iterations(self):
         op, _, _ = make_operator()
@@ -147,6 +166,22 @@ class TestValidation:
         starts[:, 1] = 0.0
         with pytest.raises(ValidationError, match="mass"):
             BlockPowerIteration(op).solve(starts)
+
+    def test_non_finite_start_rejected(self):
+        op, _, lands = make_operator()
+        starts = np.stack([land.start_vector() for land in lands], axis=1)
+        starts[5, 2] = np.nan
+        with pytest.raises(ValidationError, match="column 2 must be finite"):
+            BlockPowerIteration(op, max_iterations=1000).solve(starts)
+
+    def test_non_finite_column_stops_at_first_nan(self):
+        op, _, lands = make_operator()
+        starts = np.stack([land.start_vector() for land in lands], axis=1)
+        stub = _NanColumnAfter(op, column=1, calls=3)
+        with pytest.raises(ConvergenceError, match="column 1: non-finite") as exc_info:
+            BlockPowerIteration(stub, tol=1e-15, max_iterations=1000).solve(starts)
+        assert exc_info.value.iterations == 3
+        assert stub.calls == 3
 
     def test_shift_length_checked(self):
         op, _, _ = make_operator()

@@ -105,6 +105,21 @@ class TestOperatorsInsidePi:
         np.testing.assert_allclose(res.concentrations, ref.concentrations, atol=1e-9)
 
 
+class _NanAfter:
+    """Stub operator: the wrapped product, but all NaN from call ``calls`` on."""
+
+    def __init__(self, op, calls: int):
+        self.op = op
+        self.n = op.n
+        self.nan_from = calls
+        self.calls = 0
+
+    def matvec(self, v):
+        self.calls += 1
+        y = self.op.matvec(v)
+        return np.full_like(y, np.nan) if self.calls >= self.nan_from else y
+
+
 class TestFailureModes:
     def test_max_iterations_raises(self, problem):
         mut, ls, _ = problem
@@ -124,6 +139,22 @@ class TestFailureModes:
         mut, ls, _ = problem
         with pytest.raises(ValidationError):
             PowerIteration(Fmmp(mut, ls)).solve(np.zeros(mut.n))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, problem, bad):
+        mut, ls, _ = problem
+        start = ls.start_vector()
+        start[3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            PowerIteration(Fmmp(mut, ls), max_iterations=1000).solve(start)
+
+    def test_non_finite_iterate_stops_at_first_nan(self, problem):
+        mut, ls, _ = problem
+        op = _NanAfter(Fmmp(mut, ls), calls=3)
+        with pytest.raises(ConvergenceError, match="non-finite") as exc_info:
+            PowerIteration(op, tol=1e-15, max_iterations=1000).solve(ls.start_vector())
+        assert exc_info.value.iterations == 3
+        assert op.calls == 3
 
     def test_wrong_start_shape(self, problem):
         mut, ls, _ = problem
