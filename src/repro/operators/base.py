@@ -92,13 +92,22 @@ class ImplicitOperator(abc.ABC):
     def costs(self) -> OperatorCosts:
         """Static cost descriptor for one :meth:`matvec`."""
 
-    def matmat(self, block: np.ndarray) -> np.ndarray:
+    def matmat(
+        self,
+        block: np.ndarray,
+        *,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Product with every column of an ``(n, B)`` block.
 
         The default simply loops :meth:`matvec` column by column —
         operators with a genuinely batched kernel (notably
         :class:`~repro.operators.batched.BatchedFmmp`) override this
-        with a single fused sweep over the whole block.
+        with a single fused sweep over the whole block.  ``out``, when
+        given, receives the product; ``scratch`` is accepted so every
+        operator shares the block solver's call shape, and is unused
+        here.
         """
         arr = np.asarray(block, dtype=np.float64)
         if arr.ndim != 2:
@@ -106,8 +115,9 @@ class ImplicitOperator(abc.ABC):
         if arr.shape[0] != self.n:
             raise ValidationError(f"matmat block must have {self.n} rows, got {arr.shape[0]}")
         if arr.shape[1] == 0:
-            return np.empty_like(arr)
-        return np.stack([self.matvec(arr[:, j]) for j in range(arr.shape[1])], axis=1)
+            return np.empty_like(arr) if out is None else out
+        cols = [self.matvec(arr[:, j]) for j in range(arr.shape[1])]
+        return np.stack(cols, axis=1, out=out)
 
     # --------------------------------------------------------- conveniences
     def __matmul__(self, v: np.ndarray) -> np.ndarray:

@@ -127,6 +127,8 @@ class BatchedFmmp(ImplicitOperator):
                 np.stack([land.values() for land in lands], axis=1), dtype=np.float64
             )
         self._sqrt_f = np.sqrt(self._f) if form == "symmetric" else None
+        self._all_columns = tuple(range(self.batch))
+        self._selection: tuple[tuple[int, ...], np.ndarray] | None = None
 
         self._plan = None
         if isinstance(mutation, (UniformMutation, PerSiteMutation)):
@@ -185,16 +187,22 @@ class BatchedFmmp(ImplicitOperator):
         ``(N, B')`` (per-column mode, ``B'`` selected columns), per the
         form table of :mod:`repro.operators.base`.
         """
-        f, sf = self._f, self._sqrt_f
+        scale = self._f if self._sqrt_f is None else self._sqrt_f
         if self.per_column and columns is not None:
-            idx = np.asarray(columns, dtype=np.intp)
-            f = np.ascontiguousarray(f[:, idx])
-            sf = np.ascontiguousarray(sf[:, idx]) if sf is not None else None
+            key = tuple(columns)
+            if key != self._all_columns:
+                # One selection per active set, not per product: the
+                # block power iteration's set only changes at deflation.
+                selection = self._selection
+                if selection is None or selection[0] != key:
+                    selection = (key, np.take(scale, key, axis=1))
+                    self._selection = selection
+                scale = selection[1]
         if self.form == "right":
-            return f, None
+            return scale, None
         if self.form == "symmetric":
-            return sf, sf
-        return None, f  # left
+            return scale, scale
+        return None, scale  # left
 
     def _check_columns(self, b: int, columns: Sequence[int] | None) -> None:
         if not self.per_column:

@@ -19,6 +19,7 @@ Paper-faithful details implemented here:
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -237,6 +238,33 @@ class BlockSolveResult:
         return iter(self.columns)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or ``None`` where the OS does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _admit_block(n: int, b: int, per_column: bool) -> None:
+    """Refuse a block solve whose working set cannot fit in memory.
+
+    The working set is three ``(n, b)`` float64 blocks (iterate, product,
+    kernel scratch) plus, for per-column operators, one selection of the
+    landscape scales once a column deflates.
+    """
+    physical = _physical_memory()
+    if physical is None:
+        return
+    needed = (4 if per_column else 3) * n * b * 8
+    if needed > physical:
+        raise ValidationError(
+            f"block power iteration at nu={n.bit_length() - 1}, B={b} needs "
+            f"{needed} bytes of working memory but only {physical} bytes "
+            "of physical memory exist"
+        )
+
+
 class BlockPowerIteration:
     """Lock-step power iteration on ``B`` columns sharing one operator.
 
@@ -383,13 +411,12 @@ class BlockPowerIteration:
             form = getattr(op, "form", "right")
         per_column = bool(getattr(op, "per_column", False))
 
+        _admit_block(n, b, per_column)
         if starts is None:
-            cols = []
             for j, land in enumerate(lands):
                 if land is None:
                     raise ValidationError(f"no start vector and no landscape for column {j}")
-                cols.append(land.start_vector())
-            x = np.stack(cols, axis=1).astype(np.float64)
+            x = np.stack([land.start_vector() for land in lands], axis=1, dtype=np.float64)
         else:
             x = np.ascontiguousarray(starts, dtype=np.float64).copy()
         finite = np.isfinite(x).all(axis=0)
@@ -411,17 +438,25 @@ class BlockPowerIteration:
         histories: list[list[IterationRecord]] = [[] for _ in range(b)]
         sweeps = 0
 
+        # The working set: iterate ``x``, product ``y`` and the kernel's
+        # scratch ``s``, all (n, m) for the m active columns.  Once the
+        # product is done ``s`` is the step's temporary, and each
+        # in-place operation below rounds exactly like the allocating
+        # expression it replaces (noted alongside).
+        y = np.empty_like(x)
+        s = np.empty_like(x)
         red = self.reducer
         while active and sweeps < self.max_iterations:
             sweeps += 1
             kwargs = {"columns": active} if per_column else {}
-            y = op.matmat(x, **kwargs)
+            y = op.matmat(x, out=y, scratch=s, **kwargs)
             mu_act = mu[active]
             if np.any(mu_act != 0.0):
-                y = y - x * mu_act[None, :]
+                np.multiply(x, mu_act, out=s)  # y = y - x * mu
+                y -= s
             # Panel-ordered per-column 1-norms when a reducer is present
             # (byte-identical across runs and thread counts at fixed R).
-            lam_act = red.abs_sum(y) if red is not None else np.abs(y).sum(axis=0)
+            lam_act = red.abs_sum(y) if red is not None else np.abs(y, out=s).sum(axis=0)
             if np.any(lam_act <= 0.0):
                 bad = active[int(np.argmin(lam_act))]
                 raise ConvergenceError(
@@ -430,11 +465,13 @@ class BlockPowerIteration:
                     iterations=sweeps,
                     residual=float("nan"),
                 )
-            y = y / lam_act[None, :]
+            np.divide(y, lam_act, out=y)
             if red is not None:
                 res_act = lam_act * red.diff_norm(y, x)
             else:
-                res_act = lam_act * np.linalg.norm(y - x, axis=0)
+                np.subtract(y, x, out=s)  # np.linalg.norm(y - x, axis=0)
+                s *= s
+                res_act = lam_act * np.sqrt(s.sum(axis=0))
             finite = np.isfinite(lam_act) & np.isfinite(res_act)
             if not finite.all():
                 k = int(np.argmin(finite))
@@ -458,18 +495,26 @@ class BlockPowerIteration:
                 residual[j] = res_act[k]
                 iterations[j] = sweeps
             if done:
-                # Deflation: freeze converged columns, shrink the block.
+                # Deflation: freeze converged columns and shrink the
+                # working set to the kept ones.  Each old block is
+                # dropped before a new one is allocated, so memory never
+                # holds more than the old product and the new blocks.
                 done_set = set(done)
                 for k in done:
                     final[active[k]] = y[:, k].copy()
                 keep = [k for k in range(len(active)) if k not in done_set]
                 active = [active[k] for k in keep]
-                x = np.ascontiguousarray(y[:, keep])
+                x = s = None
+                x = np.take(y, keep, axis=1)
+                y = None
+                y = np.empty_like(x)
+                s = np.empty_like(x)
             else:
-                x = y
+                x, y = y, x
 
         for k, j in enumerate(active):  # stragglers keep their last iterate
             final[j] = x[:, k].copy()
+        x = y = s = None
 
         if active and raise_on_fail:
             raise ConvergenceError(
@@ -483,7 +528,8 @@ class BlockPowerIteration:
         unconverged = set(active)
         results: list[SolveResult] = []
         for j in range(b):
-            v = np.abs(final[j])
+            v = final[j]
+            np.abs(v, out=v)
             v /= v.sum()
             concentrations = (
                 convert_eigenvector(v, lands[j], form) if lands[j] is not None else v
