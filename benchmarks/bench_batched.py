@@ -1,7 +1,7 @@
 """Batched Fmmp crossover bench → ``BENCH_fmmp.json``.
 
-Measures the default ``Fmmp.matvec`` (the fused kernel at B = 1)
-against the multi-vector ``BatchedFmmp.matmat`` at ν = 18 for block
+Measures ``Fmmp.matvec`` (the fused kernel at B = 1) against
+``Fmmp.matmat`` of the same operator at ν = 18 for block
 widths B ∈ {4, 16, 64}, records effective bandwidths and per-vector
 speedups (next to the bytes model's predictions) into
 ``BENCH_fmmp.json`` at the repository root, and **fails** if the

@@ -10,7 +10,9 @@ experiments:
   ``Xmvp(ν) ≡ Smvp`` numerically, ``Θ(N·Σ_{k≤dmax} C(ν,k))`` time,
   ``Θ(N)`` memory,
 * :class:`~repro.operators.fmmp.Fmmp` — the paper's fast mutation matrix
-  product, exact, ``Θ(N log₂ N)`` time, in-situ.
+  product, exact, ``Θ(N log₂ N)`` time, in-situ; one operator for single
+  vectors (``matvec``) and ``(N, B)`` blocks (``matmat``), with one
+  shared landscape or one landscape per column.
 
 All operate on any of the three equivalent eigenproblem forms (Eqs. 3–5):
 ``right`` (``Q·F``), ``symmetric`` (``F^½·Q·F^½``), ``left`` (``F·Q``).
@@ -20,7 +22,6 @@ from repro.operators.base import ImplicitOperator, OperatorCosts, FORMS
 from repro.operators.smvp import Smvp
 from repro.operators.xmvp import Xmvp
 from repro.operators.fmmp import Fmmp
-from repro.operators.batched import BatchedFmmp
 from repro.operators.shifted import ShiftedOperator
 from repro.operators.truncated import TruncatedWalsh
 from repro.operators.dense_w import dense_w, convert_eigenvector
@@ -33,7 +34,6 @@ __all__ = [
     "Smvp",
     "Xmvp",
     "Fmmp",
-    "BatchedFmmp",
     "ShiftedOperator",
     "dense_w",
     "convert_eigenvector",

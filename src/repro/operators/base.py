@@ -103,7 +103,7 @@ class ImplicitOperator(abc.ABC):
 
         The default simply loops :meth:`matvec` column by column —
         operators with a genuinely batched kernel (notably
-        :class:`~repro.operators.batched.BatchedFmmp`) override this
+        :class:`~repro.operators.fmmp.Fmmp`) override this
         with a single fused sweep over the whole block.  ``out``, when
         given, receives the product; ``scratch`` is accepted so every
         operator shares the block solver's call shape, and is unused

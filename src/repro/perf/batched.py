@@ -1,7 +1,7 @@
 """Cost model + crossover bench for the fused Fmmp kernel.
 
 Every Fmmp product — ``Fmmp.matvec`` (``B = 1``) and
-``BatchedFmmp.matmat`` — runs the fused sweep plan of
+``Fmmp.matmat`` — runs the fused sweep plan of
 :mod:`repro.transforms.batched`: ``⌈ν/4⌉`` GEMM-shaped sweeps over an
 ``(N, B)`` block, one read stream and one write stream each, with the
 diagonal ``F`` scalings folded into the ping-pong schedule.  The kernel
@@ -14,8 +14,8 @@ counted straight from that plan:
 per-vector ratio between ``B = 1`` and ``B`` columns is
 :func:`modeled_speedup`: batching only amortizes the diagonal reads, so
 the model predicts a small gain.  The measured counterpart
-(:func:`measure_batched_matmat`, :func:`measured_crossover`) times the
-default ``Fmmp.matvec`` against ``BatchedFmmp.matmat`` —
+(:func:`measure_batched_matmat`, :func:`measured_crossover`) times
+``Fmmp.matvec`` against ``Fmmp.matmat`` of the same operator —
 ``benchmarks/bench_batched.py`` records both into ``BENCH_fmmp.json``.
 """
 
@@ -200,7 +200,7 @@ def measure_batched_matmat(
     repeats: int = 3,
     min_time: float = 0.01,
 ) -> BatchedMeasurement:
-    """Time ``Fmmp.matvec`` vs ``BatchedFmmp.matmat`` on one block.
+    """Time ``matvec`` vs ``matmat`` of one ``Fmmp`` on one block.
 
     Uses a uniform mutation model and a single-peak landscape (the
     bench's canonical workload); the block columns are independent
@@ -210,25 +210,23 @@ def measure_batched_matmat(
     # Fmmp.costs, so keep the reverse edge out of import time.
     from repro.landscapes.singlepeak import SinglePeakLandscape
     from repro.mutation.uniform import UniformMutation
-    from repro.operators.batched import BatchedFmmp
     from repro.operators.fmmp import Fmmp
 
     nu = _check_nu(nu)
     mutation = UniformMutation(nu, p)
     landscape = SinglePeakLandscape(nu)
-    scalar_op = Fmmp(mutation, landscape, form=form)
-    batched_op = BatchedFmmp(mutation, landscape, form=form)
+    op = Fmmp(mutation, landscape, form=form)
     rng = np.random.default_rng(nu)
-    v = rng.random(scalar_op.n) + 0.5
-    block = np.ascontiguousarray(rng.random((scalar_op.n, batch)) + 0.5)
+    v = rng.random(op.n) + 0.5
+    block = np.ascontiguousarray(rng.random((op.n, batch)) + 0.5)
     out = np.empty_like(block)
     scratch = np.empty_like(block)
 
     single: TimingResult = median_time(
-        lambda: scalar_op.matvec(v), repeats=repeats, min_time=min_time
+        lambda: op.matvec(v), repeats=repeats, min_time=min_time
     )
     batched: TimingResult = median_time(
-        lambda: batched_op.matmat(block, out=out, scratch=scratch),
+        lambda: op.matmat(block, out=out, scratch=scratch),
         repeats=repeats,
         min_time=min_time,
     )

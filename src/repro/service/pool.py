@@ -326,14 +326,14 @@ def execute_batched_job(bjob, *, threads: int | None = None) -> list:
     """Solve a :class:`~repro.service.scheduler.BatchedSolveJob`.
 
     Builds the shared mutation operator once, stacks the per-job
-    landscapes into one :class:`~repro.operators.batched.BatchedFmmp`,
+    landscapes into one per-column :class:`~repro.operators.fmmp.Fmmp`,
     and runs the lock-step
     :class:`~repro.solvers.power.BlockPowerIteration` with per-column
     shifts.  Returns one :class:`~repro.service.jobspec.JobResult` per
     member job, in order.  Module-level and picklable.
     """
     from repro.model.concentrations import class_concentrations
-    from repro.operators.batched import BatchedFmmp
+    from repro.operators.fmmp import Fmmp
     from repro.solvers.power import BlockPowerIteration
 
     jobs = list(bjob.jobs)
@@ -344,7 +344,7 @@ def execute_batched_job(bjob, *, threads: int | None = None) -> list:
     shifts = np.array(
         [_effective_shift(job, mutation, land) for job, land in zip(jobs, landscapes)]
     )
-    op = BatchedFmmp(mutation, landscapes, form=bjob.form, threads=threads)
+    op = Fmmp(mutation, landscapes, form=bjob.form, threads=threads)
     solver = BlockPowerIteration(
         op,
         shifts=shifts,

@@ -153,7 +153,7 @@ class BatchedSolveJob:
     eigenproblem form; the landscapes differ per column.  The pool
     executes it through
     :class:`~repro.solvers.power.BlockPowerIteration` on one
-    :class:`~repro.operators.batched.BatchedFmmp`, with per-column
+    per-column :class:`~repro.operators.fmmp.Fmmp`, with per-column
     shifts and per-column convergence bookkeeping.
 
     Attributes
@@ -198,7 +198,7 @@ def is_batchable(job: SolveJob) -> bool:
     """Whether ``job`` can ride the batched multi-vector power route.
 
     Batchable jobs are full-size power solves on the Fmmp operator —
-    the route :class:`~repro.operators.batched.BatchedFmmp` implements.
+    the route a per-column :class:`~repro.operators.fmmp.Fmmp` implements.
     Reduced/dense/Krylov/kronecker routes keep their scalar paths (they
     are either already (ν+1)-sized or need per-job Krylov state).
     """
@@ -216,7 +216,7 @@ def plan_batched_jobs(
     Walks each :class:`JobGroup`, keeps its batchable members (within
     ``subset`` when given — the service passes the cache-miss indices),
     sub-groups them by eigenproblem form (one
-    :class:`~repro.operators.batched.BatchedFmmp` has a single form),
+    :class:`~repro.operators.fmmp.Fmmp` has a single form),
     and emits a :class:`BatchedSolveJob` for every sub-group of at least
     ``min_batch`` jobs.  Smaller sub-groups stay on the scalar route —
     a one-column block has nothing to amortize.

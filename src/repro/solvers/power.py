@@ -269,7 +269,7 @@ class BlockPowerIteration:
     """Lock-step power iteration on ``B`` columns sharing one operator.
 
     All columns ride the *same* fused butterfly stream
-    (:meth:`~repro.operators.batched.BatchedFmmp.matmat`): one sweep
+    (:meth:`~repro.operators.fmmp.Fmmp.matmat`): one sweep
     advances every still-active column by one power step.  Each column
     keeps its own eigenvalue estimate, residual, and optional shift
     ``μ_j`` (the per-landscape conservative shift of Sec. 3); columns
@@ -279,7 +279,7 @@ class BlockPowerIteration:
     Parameters
     ----------
     operator:
-        A :class:`~repro.operators.batched.BatchedFmmp` (per-column or
+        A :class:`~repro.operators.fmmp.Fmmp` (per-column or
         shared landscapes) or any :class:`ImplicitOperator` whose
         :meth:`matmat` applies the block product.  Per-column operators
         are driven through their ``columns=`` selection so deflation
@@ -297,7 +297,7 @@ class BlockPowerIteration:
         per-column 1-norms and residuals become panel-partitioned partial
         sums combined in fixed panel order (axis-0 reductions per column).
         Defaults to the operator's ``panel_reducer`` attribute (set by
-        ``BatchedFmmp(threads=...)``).
+        ``Fmmp(threads=...)``).
     """
 
     def __init__(

@@ -6,21 +6,20 @@ FFT/FWHT-like butterfly transform with ``Θ(N log₂ N)`` cost.  This package
 holds the transform machinery itself, independent of the quasispecies
 semantics:
 
-* :mod:`repro.transforms.butterfly` — in-place 2×2-stage butterfly engine
-  (vectorized NumPy plus a literal scalar transcription of the paper's
-  Algorithm 1 for validation),
+* :mod:`repro.transforms.butterfly` — the 2×2-stage butterfly
+  (``butterfly_transform`` on the fused kernel, plus a literal scalar
+  transcription of the paper's Algorithm 1 as the executable spec),
 * :mod:`repro.transforms.fwht` — the fast Walsh–Hadamard transform used to
   diagonalize ``Q``,
 * :mod:`repro.transforms.kronecker` — matvec with an arbitrary Kronecker
   product of small dense factors (Eq. 11 generality),
 * :mod:`repro.transforms.batched` — the stage-fused, cache-blocked
   butterfly kernel (4-bit GEMM-shaped sweeps, folded diagonal scalings,
-  one scratch block) behind ``Fmmp.matvec``, the batched ``matmat``
-  operators and the ``butterfly_transform``/``fwht`` paths.
+  one scratch block) behind ``Fmmp.matvec``/``Fmmp.matmat``, the
+  distributed local stages and the ``butterfly_transform``/``fwht`` paths.
 """
 
 from repro.transforms.butterfly import (
-    apply_stage,
     butterfly_transform,
     butterfly_transform_reference,
 )
@@ -44,7 +43,6 @@ from repro.transforms.fwht import fwht, fwht_inverse, fwht_matrix
 from repro.transforms.kronecker import kron_matvec, kron_vector, kron_diagonal
 
 __all__ = [
-    "apply_stage",
     "butterfly_transform",
     "butterfly_transform_reference",
     "FusedStage",

@@ -8,10 +8,11 @@ product ``W·v`` (right form).  These are mathematically identical, so
 every pair must agree to machine precision on arbitrary probe vectors:
 
 * ``fmmp-eq9`` / ``fmmp-eq10`` — the butterfly, both stage orders,
-* ``fmmp-batched`` — the stage-fused multi-vector kernel
-  (:class:`~repro.operators.batched.BatchedFmmp`): the probe rides one
-  column of a genuine multi-column block, so column isolation and the
-  folded diagonal scalings are checked per probe,
+* ``fmmp-batched`` — the per-column multi-vector product the service's
+  batched jobs run (:meth:`~repro.operators.fmmp.Fmmp.matmat` with one
+  landscape per column): the probe rides one column of a genuine
+  three-landscape block, so column isolation and the folded per-column
+  diagonal scalings are checked per probe,
 * ``fmmp-parallel`` — the panel-partitioned shared-memory butterfly
   (:mod:`repro.transforms.parallel`), exercised with an explicit panel
   split (and, with ``threads > 1``, real engine workers): the panel
@@ -40,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.landscapes.custom import TabulatedLandscape
 from repro.landscapes.kronecker import KroneckerLandscape
 from repro.model.concentrations import class_concentrations
 from repro.model.quasispecies import QuasispeciesModel
@@ -137,21 +139,24 @@ def product_oracles(spec: ProblemSpec, *, threads: int = 1) -> list[ProductOracl
 
 
 def _batched_matvec(mutation, landscape) -> Callable[[np.ndarray], np.ndarray]:
-    """Probe the multi-vector kernel through a genuine multi-column block.
+    """Probe the per-column multi-vector product through a genuine block.
 
-    The probe rides column 0 of a 3-column block (the companions are
-    scaled/shifted copies), so the check exercises column isolation and
-    the folded diagonal scalings — a ``matmat`` that leaked state across
-    columns would corrupt the extracted probe column.
+    The operator carries three landscape columns, as a batched service
+    job does: the probe's landscape sits in the middle, between the
+    reversed and the raised fitness.  The probe rides column 1 of a
+    3-column block whose companions are scaled/shifted copies, so the
+    check exercises column isolation and the folded per-column diagonal
+    scalings — a ``matmat`` that leaked state or a scale across columns
+    would corrupt the extracted probe column.
     """
-    from repro.operators.batched import BatchedFmmp
-
-    op = BatchedFmmp(mutation, landscape, form="right")
+    f = landscape.values()
+    lands = [TabulatedLandscape(f[::-1]), landscape, TabulatedLandscape(f + 1.0)]
+    op = Fmmp(mutation, lands, form="right")
 
     def matvec(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
-        block = np.stack([v, -0.5 * v, v + 1.0], axis=1)
-        return op.matmat(block)[:, 0].copy()
+        block = np.stack([-0.5 * v, v, v + 1.0], axis=1)
+        return op.matmat(block)[:, 1].copy()
 
     return matvec
 

@@ -21,7 +21,7 @@ from repro.device.kernels import (
 )
 from repro.exceptions import DeviceError
 from repro.mutation import UniformMutation
-from repro.transforms.butterfly import apply_stage
+from repro.transforms.butterfly import butterfly_transform_reference
 
 
 class TestAlgorithm2IndexFormula:
@@ -76,7 +76,11 @@ class TestFmmpStageKernel:
             16,
             {"span": 4, "m00": m[0, 0], "m01": m[0, 1], "m10": m[1, 0], "m11": m[1, 1]},
         )
-        np.testing.assert_allclose(dev.from_device("v"), apply_stage(v0, 4, m), atol=1e-14)
+        # identity factors everywhere but bit 2 (span 4): one stage alone
+        factors = [np.eye(2), np.eye(2), m, np.eye(2), np.eye(2)]
+        np.testing.assert_allclose(
+            dev.from_device("v"), butterfly_transform_reference(v0, factors), atol=1e-14
+        )
 
     def test_missing_param_rejected(self):
         dev = Device(TESLA_C2050)

@@ -1,7 +1,7 @@
 """Roofline cost model for the batched kernel + cost reconciliation.
 
-The reconciliation contract: ``Fmmp.costs(batch=B)``,
-``BatchedFmmp.costs()`` and ``batched_fmmp_costs(nu, B)`` must describe
+The reconciliation contract: ``Fmmp.costs(batch=B)``, the per-column
+``Fmmp.costs()`` and ``batched_fmmp_costs(nu, B)`` must describe
 the *same* sweep schedule — one source of truth consumed from three
 entry points.
 """
@@ -12,7 +12,7 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.landscapes import RandomLandscape, SinglePeakLandscape
 from repro.mutation import GroupedMutation, UniformMutation, site_factor
-from repro.operators import BatchedFmmp, Fmmp
+from repro.operators import Fmmp
 from repro.operators.base import OperatorCosts
 from repro.perf import (
     BatchedMeasurement,
@@ -96,8 +96,8 @@ class TestModeledSpeedupAndCrossover:
 
 
 class TestCostReconciliation:
-    """Fmmp.costs(batch=), BatchedFmmp.costs() and batched_fmmp_costs
-    must agree — the satellite reconciliation contract."""
+    """Fmmp.costs(batch=), per-column Fmmp.costs() and
+    batched_fmmp_costs must agree — the reconciliation contract."""
 
     @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
     @pytest.mark.parametrize("batch", [2, 16])
@@ -128,7 +128,7 @@ class TestCostReconciliation:
         nu = 7
         mutation = UniformMutation(nu, 0.02)
         lands = [RandomLandscape(nu, seed=s) for s in range(3)]
-        op = BatchedFmmp(mutation, lands)
+        op = Fmmp(mutation, lands)
         got = op.costs()
         want = batched_fmmp_costs(nu, 3, form="right")
         assert got.bytes_moved == pytest.approx(want.bytes_moved)

@@ -9,7 +9,7 @@ import pytest
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.landscapes import RandomLandscape, SinglePeakLandscape
 from repro.mutation import UniformMutation
-from repro.operators import BatchedFmmp, Fmmp
+from repro.operators import Fmmp
 from repro.operators.dense_w import convert_eigenvector
 from repro.operators.shifted import ShiftedOperator, conservative_shift
 from repro.service import SolveJob, WorkerPool, plan_batch, plan_batched_jobs
@@ -28,7 +28,7 @@ def make_operator(form="right", n_lands=3):
         RandomLandscape(NU, c=4.0, sigma=1.0, seed=0),
         RandomLandscape(NU, c=4.0, sigma=1.0, seed=1),
     ][:n_lands]
-    return BatchedFmmp(mutation, lands, form=form), mutation, lands
+    return Fmmp(mutation, lands, form=form), mutation, lands
 
 
 class TestAgainstScalarPowerIteration:
@@ -108,7 +108,7 @@ class TestDeflationAndFailure:
             SinglePeakLandscape(NU, f_peak=8.0),  # large gap: fast
             RandomLandscape(NU, c=5.0, sigma=2.0, seed=5),  # slow
         ]
-        op = BatchedFmmp(mutation, lands)
+        op = Fmmp(mutation, lands)
         block = BlockPowerIteration(op, tol=1e-12).solve()
         its = [r.iterations for r in block]
         assert its[0] != its[1]  # genuinely different convergence speeds
@@ -198,7 +198,7 @@ class TestValidation:
     def test_shared_operator_requires_starts(self):
         mutation = UniformMutation(NU, P)
         land = SinglePeakLandscape(NU)
-        shared = BatchedFmmp(mutation, land)
+        shared = Fmmp(mutation, land)
         with pytest.raises(ValidationError, match="starts"):
             BlockPowerIteration(shared).solve()
         # ... and works when given a block of starts:
@@ -274,13 +274,13 @@ def pin_problem(form, per_column, shifted):
     """A 4-column block whose columns converge at >= 3 distinct sweeps."""
     mutation = UniformMutation(NU, P)
     if per_column:
-        op = BatchedFmmp(mutation, PIN_LANDS, form=form)
+        op = Fmmp(mutation, PIN_LANDS, form=form)
         lands = PIN_LANDS
         starts = None
         shifts = [conservative_shift(mutation, land) for land in lands] if shifted else None
     else:
         land = PIN_LANDS[2]
-        op = BatchedFmmp(mutation, land, form=form)
+        op = Fmmp(mutation, land, form=form)
         lands = [land] * 4
         rng = np.random.default_rng(0)
         starts = np.stack(
@@ -321,13 +321,13 @@ class TestInPlaceWorkingSet:
 
     def test_sweeps_reuse_out_and_scratch_between_deflations(self, monkeypatch):
         calls = []
-        real = BatchedFmmp.matmat
+        real = Fmmp.matmat
 
         def spy(self, block, **kwargs):
             calls.append((tuple(kwargs["columns"]), block, kwargs.get("out"), kwargs.get("scratch")))
             return real(self, block, **kwargs)
 
-        monkeypatch.setattr(BatchedFmmp, "matmat", spy)
+        monkeypatch.setattr(Fmmp, "matmat", spy)
         op, _, _, _ = pin_problem("right", per_column=True, shifted=False)
         BlockPowerIteration(op, tol=1e-12).solve()
         segments = {}
@@ -345,7 +345,7 @@ class TestInPlaceWorkingSet:
 
     def test_scale_selection_built_once_per_active_set(self, monkeypatch):
         seen = {}
-        real = BatchedFmmp._scales
+        real = Fmmp._scales
 
         def spy(self, columns):
             pre, post = real(self, columns)
@@ -355,7 +355,7 @@ class TestInPlaceWorkingSet:
             )
             return pre, post
 
-        monkeypatch.setattr(BatchedFmmp, "_scales", spy)
+        monkeypatch.setattr(Fmmp, "_scales", spy)
         for form in ("right", "symmetric", "left"):
             seen.clear()
             op, _, _, _ = pin_problem(form, per_column=True, shifted=False)
@@ -374,7 +374,7 @@ class TestInPlaceWorkingSet:
         block_bytes = (1 << nu) * b * 8
         peaks = {}
         for tol in (1e-8, 1e-13):
-            op = BatchedFmmp(mutation, lands)
+            op = Fmmp(mutation, lands)
             tracemalloc.start()
             try:
                 result = BlockPowerIteration(op, tol=tol).solve()
